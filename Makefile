@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet staticcheck vulncheck invariants test race stackd-race fleet-race ssa-differential cache-identity bench-smoke bench bench-json bench-gate fuzz-smoke service-smoke cover race-cover ci
+.PHONY: all build vet staticcheck vulncheck invariants test bench-test race stackd-race fleet-race ssa-differential cache-identity bench-smoke bench bench-json bench-gate fuzz-smoke service-smoke cover race-cover ci
 
 all: build
 
@@ -41,6 +41,12 @@ invariants:
 test:
 	$(GO) test ./...
 
+# The benchmark module's own tests. bench/ is a separate Go module, so
+# the root `go test ./...` never reaches it; this is the gate that
+# catches a change to the internal API the benchmark builds against.
+bench-test:
+	cd bench && $(GO) test ./...
+
 race:
 	$(GO) test -race ./...
 
@@ -68,7 +74,7 @@ ssa-differential:
 	$(GO) test -race -run 'SSA' ./internal/...
 
 # The result-cache gate under the race detector: cold-vs-warm byte
-# identity of sweep output across worker counts and merge strategies,
+# identity of sweep output across worker counts,
 # option-fingerprint completeness and sensitivity, name rehydration,
 # disk-tier persistence, and the stack/cache unit suite (LRU eviction,
 # byte budgets, atomic-rename collisions, crash safety).
@@ -135,4 +141,4 @@ race-cover:
 	$(GO) test -race -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-ci: vet staticcheck vulncheck invariants build race-cover fleet-race ssa-differential cache-identity bench-smoke bench-gate fuzz-smoke service-smoke
+ci: vet staticcheck vulncheck invariants build race-cover bench-test fleet-race ssa-differential cache-identity bench-smoke bench-gate fuzz-smoke service-smoke

@@ -183,11 +183,11 @@ func benchFig16(b *testing.B, files, funcs int, seed int64) {
 		res = sweepOnce(b, cfg)
 	}
 	b.ReportMetric(float64(res.Files), "files")
-	b.ReportMetric(float64(res.Queries), "queries")
-	b.ReportMetric(float64(res.Timeouts), "query-timeouts")
+	b.ReportMetric(float64(res.Stats.Queries), "queries")
+	b.ReportMetric(float64(res.Stats.Timeouts), "query-timeouts")
 	b.ReportMetric(res.BuildTime.Seconds(), "build-sec")
 	b.ReportMetric(res.AnalysisTime.Seconds(), "analysis-sec")
-	b.ReportMetric(float64(res.RewriteHits), "rewrite-hits")
+	b.ReportMetric(float64(res.Stats.RewriteHits), "rewrite-hits")
 }
 
 // BenchmarkSweepParallel measures the worker-pool sweep pipeline
@@ -229,12 +229,13 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 	perOp := b.Elapsed() / time.Duration(b.N)
 	b.ReportMetric(serial.Seconds()/perOp.Seconds(), "speedup-vs-serial")
-	b.ReportMetric(float64(res.RewriteHits)/float64(res.RewriteHits+res.TermsCreated), "rewrite-hit-rate")
+	st := res.Stats
+	b.ReportMetric(float64(st.RewriteHits)/float64(st.RewriteHits+st.TermsCreated), "rewrite-hit-rate")
 	// Fraction of term constructions answered by the hash-consing table;
 	// AC-chain canonicalization raises this by folding commuted chains
 	// onto one node.
-	b.ReportMetric(float64(res.CacheHits)/float64(res.CacheHits+res.TermsCreated), "cache-hit-rate")
-	b.ReportMetric(float64(res.Queries), "queries")
+	b.ReportMetric(float64(st.CacheHits)/float64(st.CacheHits+st.TermsCreated), "cache-hit-rate")
+	b.ReportMetric(float64(st.Queries), "queries")
 	b.ReportMetric(float64(workers), "workers")
 }
 

@@ -8,7 +8,7 @@
 //
 //	debian [-packages N] [-files N] [-funcs N] [-seed N] [-j N]
 //	       [-timeout D] [-max-conflicts N] [-perf]
-//	       [-stream] [-format text|jsonl|sarif] [-buffered]
+//	       [-stream] [-format text|jsonl|sarif]
 //	       [-remote host1,host2,...] [-auth-token T] [-fleet-status]
 //
 // With -perf it instead runs the three Figure 16 package profiles
@@ -26,9 +26,7 @@
 // classic per-file report stream, then the summary block), jsonl (one
 // JSON object per file), or sarif (a SARIF 2.1.0 log on completion);
 // the non-text formats keep stdout machine-consumable and print no
-// summary. -buffered selects the legacy collect-then-merge strategy;
-// the summary is byte-identical either way. -stream and -buffered are
-// mutually exclusive (-stream is streaming by definition).
+// summary.
 //
 // -remote runs the sweep against stackd replicas instead of the local
 // solver: the archive's files are flattened into one batch, dealt to
@@ -81,15 +79,10 @@ func main() {
 	perf := flag.Bool("perf", false, "run the Figure 16 performance profiles")
 	stream := flag.Bool("stream", false, "render per-file results through a sink as they are produced")
 	format := flag.String("format", "text", "streaming sink format: text, jsonl, or sarif")
-	buffered := flag.Bool("buffered", false, "use the legacy buffered merge instead of streaming")
 	remote := flag.String("remote", "", "comma-separated stackd replica addresses; sweep runs remotely (requires -stream)")
 	authToken := flag.String("auth-token", "", "bearer token for the replicas (with -remote)")
 	_ = flag.Bool("fleet-status", false, "probe the -remote fleet once and print its health as JSON (own flag set; see debian -fleet-status -h)")
 	flag.Parse()
-	if *stream && *buffered {
-		fmt.Fprintln(os.Stderr, "debian: -stream and -buffered are mutually exclusive")
-		os.Exit(2)
-	}
 	if *stream && *perf {
 		fmt.Fprintln(os.Stderr, "debian: -stream does not apply to the -perf profile table")
 		os.Exit(2)
@@ -99,7 +92,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	az := stack.New(append(common.Options(), stack.WithBufferedSweep(*buffered))...)
+	az := stack.New(common.Options()...)
 	ctx := context.Background()
 
 	if *perf {

@@ -89,15 +89,22 @@
 // instead of re-blasting them per opaque load — Stats gains
 // promotedAllocas, eliminatedStores, gvnHits, sccpFoldedValues,
 // sccpFoldedBranches, sccpUnreachableBlocks, crossBlockGvnHits,
-// hoistedUbTerms, and domOrderedSkips (omitted from the JSON trailer
-// when zero, keeping legacy bytes unchanged). The default is
-// differentially gated: sweep output with SSA on is byte-identical
+// hoistedUbTerms, domOrderedSkips, and ssaSharpened (omitted from the
+// JSON trailer when zero, keeping legacy bytes unchanged). The default
+// is differentially gated: sweep output with SSA on is byte-identical
 // to the legacy pipeline on the archive corpus (raced across worker
-// counts and both sink modes), per-pass fuzz oracles enforce each
-// pass's contract on arbitrary programs, scripts/invariants.sh
-// refuses any pass lacking a counter or an oracle, and the BENCH_9
-// checkpoint pins the solver-work reduction (make ssa-differential
-// runs the gate; it is part of make ci).
+// counts), per-pass fuzz oracles enforce each pass's contract on
+// arbitrary programs, scripts/invariants.sh refuses any pass lacking a
+// counter or an oracle, and the BENCH_9 checkpoint pins the
+// solver-work reduction (make ssa-differential runs the gate; it is
+// part of make ci).
+//
+// Every counter is declared once, as a field of the internal
+// core.Stats that stack.Stats aliases. The field's tags carry its JSON
+// key, its Prometheus metric name, and that metric's help text; the
+// JSON trailer, the /metrics exposition (JSON and Prometheus), and the
+// sweep summary all read that one struct, and Stats.Add sums it by
+// reflection.
 //
 // # Content-addressed result cache
 //
@@ -108,9 +115,8 @@
 // result-affecting option, and on a hit replays the stored reports
 // (positions rehydrated to the requesting file name) without building
 // IR or touching the solver. Execution knobs that cannot change
-// results — worker count, merge strategy, sinks — are excluded from
-// the key by construction, so analyzers differing only in them share
-// entries. The package ships an in-memory LRU with a byte budget
+// results — worker count, sinks — are excluded from the key by
+// construction, so analyzers differing only in them share entries. The package ships an in-memory LRU with a byte budget
 // (cache.NewMemory), a crash-safe on-disk tier addressed by key hash
 // with atomic-rename writes (cache.NewDisk), and a tiered composition
 // that promotes disk hits into memory (cache.NewTiered); stackd wires
@@ -119,9 +125,8 @@
 // trailer, and /metrics, alongside the cache's own residency counters.
 // The gate is the repository's byte-identity bar: a fully warm sweep
 // must produce byte-identical output to the cold run that populated
-// the cache, across worker counts and merge strategies, with zero
-// solver queries (make cache-identity runs it raced; part of make
-// ci). An options fingerprint that silently misses a new field would
+// the cache, across worker counts, with zero solver queries (make
+// cache-identity runs it raced; part of make ci). An options fingerprint that silently misses a new field would
 // be a correctness bug, so both a reflection test and
 // scripts/invariants.sh fail unless every core.Options field is named
 // in the fingerprint.

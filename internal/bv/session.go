@@ -78,9 +78,6 @@ func NewSession(bld *Builder) *Session {
 	return &Session{bld: bld}
 }
 
-// Builder returns the term builder this session is bound to.
-func (s *Session) Builder() *Builder { return s.bld }
-
 // solverForQuery returns the solver the next query runs on: the shared
 // incremental solver, or a fresh one per query in Scratch mode.
 func (s *Session) solverForQuery() *Solver {
@@ -165,9 +162,6 @@ func (s *Session) Value(t *Term) *big.Int {
 	return s.cur.Value(t)
 }
 
-// ValueBool returns the boolean model value of a width-1 term.
-func (s *Session) ValueBool(t *Term) bool { return s.Value(t).Sign() != 0 }
-
 // Blasts returns the total number of terms the session lowered to CNF,
 // summed over every solver it ran (one for the whole session when
 // incremental; one per query in Scratch mode).
@@ -194,12 +188,4 @@ func (s *Session) LearntsDropped() int64 {
 		n += s.cur.LearntsDropped()
 	}
 	return n
-}
-
-// Stats reports sizes of the SAT instance behind the last query.
-func (s *Session) Stats() (vars, clauses int) {
-	if s.cur == nil {
-		return 0, 0
-	}
-	return s.cur.Stats()
 }

@@ -68,9 +68,6 @@ func NewSolver(bld *Builder) *Solver {
 	}
 }
 
-// Builder returns the term builder this solver is bound to.
-func (s *Solver) Builder() *Builder { return s.bld }
-
 // litFor blasts a width-1 term and returns its literal.
 func (s *Solver) litFor(t *Term) sat.Lit {
 	if t.Width() != 1 {
@@ -220,11 +217,6 @@ func (s *Solver) Value(t *Term) *big.Int {
 	return v
 }
 
-// ValueBool returns the boolean model value of a width-1 term.
-func (s *Solver) ValueBool(t *Term) bool {
-	return s.Value(t).Sign() != 0
-}
-
 // SolveCore is Solve plus, on Unsat, the subset of assumption indices
 // that were sufficient for the conflict (a non-minimal unsat core). It
 // is the primitive STACK's minimal-UB-set masking loop builds on.
@@ -283,7 +275,7 @@ func (s *Solver) Stats() (vars, clauses int) {
 func (s *Solver) Blasts() int64 { return s.bl.blasts }
 
 // HasModel reports whether the last verdict was a Sat produced by the
-// SAT core, i.e. whether Value/ValueBool may be called. Fast-path Sat
+// SAT core, i.e. whether Value may be called. Fast-path Sat
 // verdicts (constant assumptions) carry no model.
 func (s *Solver) HasModel() bool { return s.modelValid }
 

@@ -61,21 +61,12 @@ func isIdentCont(c byte) bool { return isIdentStart(c) || (c >= '0' && c <= '9')
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// skipSpaceAndComments consumes whitespace and comments. It returns
-// true if a newline was crossed (the preprocessor needs line
-// structure).
-func (l *Lexer) skipSpaceAndComments(stopAtNewline bool) bool {
-	newline := false
+// skipSpaceAndComments consumes whitespace, newlines, and comments.
+func (l *Lexer) skipSpaceAndComments() {
 	for l.pos < len(l.src) {
 		c := l.peek()
 		switch {
-		case c == '\n':
-			if stopAtNewline {
-				return true
-			}
-			newline = true
-			l.advance()
-		case c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f':
+		case c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f':
 			l.advance()
 		case c == '/' && l.peek2() == '/':
 			for l.pos < len(l.src) && l.peek() != '\n' {
@@ -90,16 +81,12 @@ func (l *Lexer) skipSpaceAndComments(stopAtNewline bool) bool {
 					l.advance()
 					break
 				}
-				if l.peek() == '\n' {
-					newline = true
-				}
 				l.advance()
 			}
 		default:
-			return newline
+			return
 		}
 	}
-	return newline
 }
 
 // punctuators, longest first.
@@ -115,21 +102,11 @@ var puncts = []string{
 // (including newlines). Directive lines must be extracted with
 // NextLineTokens by a preprocessor before using Next on raw source.
 func (l *Lexer) Next() (Token, error) {
-	l.skipSpaceAndComments(false)
+	l.skipSpaceAndComments()
 	return l.lexOne()
 }
 
-// NextInLine returns the next token without crossing a newline; at end
-// of line it returns an EOF-kind token.
-func (l *Lexer) NextInLine() (Token, error) {
-	if l.skipSpaceAndComments(true) || l.pos >= len(l.src) || l.peek() == '\n' {
-		return Token{Kind: TokEOF, Pos: l.at()}, nil
-	}
-	return l.lexOne()
-}
-
-// AtLineStart reports whether the lexer is at the beginning of a line
-// (only whitespace seen since the last newline).
+// lexOne lexes one token at the current position.
 func (l *Lexer) lexOne() (Token, error) {
 	pos := l.at()
 	if l.pos >= len(l.src) {

@@ -370,20 +370,6 @@ func parseMacroArgs(toks []Token, open int) ([][]Token, int, error) {
 	return nil, 0, errf(toks[open].Pos, "unterminated macro argument list")
 }
 
-// PredefineObject adds an object-like macro NAME with the given token
-// text as its body (a convenience for tests and the driver).
-func (pp *Preprocessor) PredefineObject(name, body string) error {
-	toks, err := Tokenize("<predef>", body)
-	if err != nil {
-		return err
-	}
-	if n := len(toks); n > 0 && toks[n-1].Kind == TokEOF {
-		toks = toks[:n-1]
-	}
-	pp.Macros[name] = &Macro{Name: name, Body: toks}
-	return nil
-}
-
 // String renders the macro table, for debugging.
 func (pp *Preprocessor) String() string {
 	var b strings.Builder

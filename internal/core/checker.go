@@ -135,122 +135,6 @@ var DefaultOptions = Options{
 	SSA:           true,
 }
 
-// Stats aggregates checker effort, the quantities of the paper's
-// Figure 16 (queries, timeouts) plus report counts per algorithm
-// (Figure 17), and the solver-layer counters of the word-level rewrite
-// engine.
-type Stats struct {
-	Functions     int
-	Blocks        int
-	Queries       int64
-	Timeouts      int64
-	ReportsByAlgo [3]int
-	// RewriteHits counts term constructions answered by bv's word-level
-	// rewrite rules; TermsCreated counts interned term nodes; CacheHits
-	// counts constructions answered by the hash-consing table (chain
-	// canonicalization exists to drive this up); FastPaths counts
-	// solver queries decided from constants without CDCL search.
-	RewriteHits  int64
-	TermsCreated int64
-	CacheHits    int64
-	FastPaths    int64
-	// Incremental-session effort (see bv.Session): TermsBlasted counts
-	// terms lowered to CNF, BlastPasses counts queries that lowered at
-	// least one new term (so Queries/BlastPasses is the amortization
-	// ratio), and LearntsReused sums the learned clauses already
-	// available when each query started.
-	TermsBlasted  int64
-	BlastPasses   int64
-	LearntsReused int64
-	// LearntsDropped counts learned clauses discarded by the SAT
-	// layer's database reductions and session learnt budgets;
-	// ArenaBytesReused counts term-allocator bytes served from recycled
-	// slabs instead of fresh heap allocations (zero until a function
-	// has been checked on a warm arena).
-	LearntsDropped   int64
-	ArenaBytesReused int64
-	// SSA pass effort (all zero unless Options.SSA): PromotedAllocas
-	// counts address-taken variables mem2reg rewrote into SSA values,
-	// EliminatedStores counts stores deleted by promotion and
-	// dead-store elimination, GVNHits counts values merged into a
-	// structurally identical representative in the same block.
-	PromotedAllocas  int64
-	EliminatedStores int64
-	GVNHits          int64
-	// Global-analysis effort (PR 10, all zero unless Options.SSA):
-	// SCCPFoldedValues counts instructions sparse conditional constant
-	// propagation transmuted to constants, SCCPFoldedBranches counts
-	// branch conditions it proved constant, SCCPUnreachableBlocks
-	// counts blocks with no executable in-edge, SCCPSharpened counts
-	// the lattice-only facts beyond the rewrite layer's reach,
-	// CrossBlockGVNHits counts values merged into a representative in
-	// a dominating block, HoistedUBTerms counts UB-carrying
-	// instructions hoisted out of loop headers, and DomOrderedSkips
-	// counts elimination queries skipped because a dominated block's
-	// satisfiable verdict implied them.
-	SCCPFoldedValues      int64
-	SCCPFoldedBranches    int64
-	SCCPUnreachableBlocks int64
-	SCCPSharpened         int64
-	CrossBlockGVNHits     int64
-	HoistedUBTerms        int64
-	DomOrderedSkips       int64
-	// SSASharpened counts functions where the pass stack proved a fact
-	// beyond the encoding layer's rewrite rules (ir.PassStats.Sharpening)
-	// — when zero, checker output is provably byte-identical to the
-	// legacy pipeline's, which the differential fuzz oracle enforces.
-	SSASharpened int64
-	// Result-cache traffic (all zero without a configured cache; see
-	// stack.WithCache): CacheResultHits counts sources answered whole
-	// from the content-addressed result cache — frontend, IR, and
-	// solver all skipped — and CacheResultMisses counts sources that
-	// were analyzed for real (and then stored). The checker itself
-	// never touches the cache; the sweep and batch layers consult it
-	// per source and fold these counters in alongside the per-worker
-	// stats. On a hit the program-shape counters (Functions, Blocks,
-	// ReportsByAlgo) are replayed from the cached entry, while the
-	// effort counters (Queries, TermsBlasted, ...) are not — a warm
-	// sweep really does no solver work, which is the point.
-	CacheResultHits   int64
-	CacheResultMisses int64
-}
-
-// Add accumulates other into s. It is the reduction step for
-// lock-free parallel checking: give each worker goroutine its own
-// Checker, then merge the per-worker Stats with Add once the workers
-// have finished.
-func (s *Stats) Add(other Stats) {
-	s.Functions += other.Functions
-	s.Blocks += other.Blocks
-	s.Queries += other.Queries
-	s.Timeouts += other.Timeouts
-	for i := range s.ReportsByAlgo {
-		s.ReportsByAlgo[i] += other.ReportsByAlgo[i]
-	}
-	s.RewriteHits += other.RewriteHits
-	s.TermsCreated += other.TermsCreated
-	s.CacheHits += other.CacheHits
-	s.FastPaths += other.FastPaths
-	s.TermsBlasted += other.TermsBlasted
-	s.BlastPasses += other.BlastPasses
-	s.LearntsReused += other.LearntsReused
-	s.LearntsDropped += other.LearntsDropped
-	s.ArenaBytesReused += other.ArenaBytesReused
-	s.PromotedAllocas += other.PromotedAllocas
-	s.EliminatedStores += other.EliminatedStores
-	s.GVNHits += other.GVNHits
-	s.SCCPFoldedValues += other.SCCPFoldedValues
-	s.SCCPFoldedBranches += other.SCCPFoldedBranches
-	s.SCCPUnreachableBlocks += other.SCCPUnreachableBlocks
-	s.SCCPSharpened += other.SCCPSharpened
-	s.CrossBlockGVNHits += other.CrossBlockGVNHits
-	s.HoistedUBTerms += other.HoistedUBTerms
-	s.DomOrderedSkips += other.DomOrderedSkips
-	s.SSASharpened += other.SSASharpened
-	s.CacheResultHits += other.CacheResultHits
-	s.CacheResultMisses += other.CacheResultMisses
-}
-
 // Checker is the STACK checker. Create with New; safe for sequential
 // reuse across programs. A Checker is NOT safe for concurrent use: its
 // stats accumulate without locks by design. Concurrent callers (see
@@ -272,9 +156,6 @@ func New(opts Options) *Checker { return &Checker{opts: opts, arena: bv.NewArena
 
 // Stats returns accumulated statistics.
 func (c *Checker) Stats() Stats { return c.stats }
-
-// ResetStats clears accumulated statistics.
-func (c *Checker) ResetStats() { c.stats = Stats{} }
 
 // CheckProgram analyzes every function and returns all reports, in
 // deterministic order. Cancelling ctx aborts the analysis within one
@@ -345,7 +226,6 @@ func (c *Checker) CheckFunc(ctx context.Context, f *ir.Func) ([]*Report, error) 
 		c.stats.SCCPFoldedValues += int64(ps.SCCPFoldedValues)
 		c.stats.SCCPFoldedBranches += int64(ps.SCCPFoldedBranches)
 		c.stats.SCCPUnreachableBlocks += int64(ps.SCCPUnreachableBlocks)
-		c.stats.SCCPSharpened += int64(ps.SCCPSharpened)
 		c.stats.CrossBlockGVNHits += int64(ps.CrossBlockGVNHits)
 		c.stats.HoistedUBTerms += int64(ps.HoistedUBTerms)
 		if ps.Sharpening() {
@@ -388,9 +268,6 @@ func (c *Checker) CheckFunc(ctx context.Context, f *ir.Func) ([]*Report, error) 
 	c.stats.LearntsDropped += solver.LearntsDropped()
 	c.stats.DomOrderedSkips += st.domSkips
 	c.stats.ArenaBytesReused += c.arena.BytesReused() - arenaReusedBefore
-	for _, r := range reports {
-		c.stats.ReportsByAlgo[r.Algo]++
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

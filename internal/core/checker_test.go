@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -476,20 +477,37 @@ int f(int x) {
 		t.Fatal(err)
 	}
 	c := New(testOpts())
-	reports, err := c.CheckProgram(context.Background(), p)
-	if err != nil {
+	if _, err := c.CheckProgram(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
 	if st.Functions != 1 || st.Queries == 0 {
 		t.Errorf("stats: %+v", st)
 	}
-	total := 0
-	for _, n := range st.ReportsByAlgo {
-		total += n
+}
+
+// TestStatsAddSumsEveryField fills every Stats field by reflection, so
+// a new counter is covered without a test edit: Add must sum each one,
+// and each must carry the json, prom, and help tags the public
+// encodings are derived from.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(i + 1))
+		vb.Field(i).SetInt(int64(100 * (i + 1)))
 	}
-	if total != len(reports) {
-		t.Errorf("ReportsByAlgo sums to %d, want %d", total, len(reports))
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Type().Field(i)
+		if got, want := va.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", f.Name, got, want)
+		}
+		for _, tag := range []string{"json", "prom", "help"} {
+			if f.Tag.Get(tag) == "" {
+				t.Errorf("Stats.%s has no %s tag", f.Name, tag)
+			}
+		}
 	}
 }
 

@@ -18,6 +18,15 @@ type CachedFile struct {
 	Reports   []*core.Report
 }
 
+// ReplayHit folds one cache hit into st: the hit counter plus the
+// program-shape counters the checker would have accumulated. Effort
+// counters stay untouched — the hit did no solver work.
+func (cf CachedFile) ReplayHit(st *core.Stats) {
+	st.CacheResultHits++
+	st.Functions += cf.Functions
+	st.Blocks += cf.Blocks
+}
+
 // ResultCache answers whole per-file analyses by source content. The
 // sweep consults it per file before the frontend runs; a hit skips
 // every stage and the cached reports flow through the in-order emitter

@@ -212,7 +212,7 @@ func TestSweepSmall(t *testing.T) {
 		t.Errorf("packages with reports = %d, packages with planted bugs = %d",
 			res.PackagesWithReports, planted)
 	}
-	if res.Queries == 0 {
+	if res.Stats.Queries == 0 {
 		t.Error("no solver queries recorded")
 	}
 	// Null-deref dominates the Fig. 18 distribution.

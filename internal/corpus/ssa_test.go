@@ -12,11 +12,10 @@ import (
 // pass stack, which is on by default since the global analysis suite
 // landed: with Options.SSA the sweep must produce byte-identical
 // reports — same files, same lines, same algorithms, same minimal UB
-// sets — and identical verdict counts, across worker counts and both
-// sweep strategies (streaming and buffered), versus the SSA-off legacy
-// reference. The SSA passes may only change how much work the solver
-// does (fewer blasted terms, skipped queries, more cache hits), never
-// what the checker says.
+// sets — and identical verdict counts, across worker counts, versus the
+// SSA-off legacy reference. The SSA passes may only change how much
+// work the solver does (fewer blasted terms, skipped queries, more
+// cache hits), never what the checker says.
 func TestSSAVsLegacyByteIdentity(t *testing.T) {
 	cfg := ArchiveConfig{
 		Packages: 24, FilesPerPackage: 2, FuncsPerFile: 5,
@@ -37,40 +36,34 @@ func TestSSAVsLegacyByteIdentity(t *testing.T) {
 	ssaOpts.SSA = true
 	sawGVN := false
 	for _, workers := range []int{1, 4, 16} {
-		for _, buffered := range []bool{false, true} {
-			mode := "streaming"
-			if buffered {
-				mode = "buffered"
+		t.Run(fmt.Sprintf("workers=%d/streaming", workers), func(t *testing.T) {
+			ssa, err := (&Sweeper{Options: ssaOpts, Workers: workers}).Run(context.Background(), pkgs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(fmt.Sprintf("workers=%d/%s", workers, mode), func(t *testing.T) {
-				ssa, err := (&Sweeper{Options: ssaOpts, Workers: workers, Buffered: buffered}).Run(context.Background(), pkgs)
-				if err != nil {
-					t.Fatal(err)
+			type verdicts struct {
+				Packages, PackagesWithReports, Files, Functions, Reports int
+				Elimination, BoolOracle, AlgebraOracle, SingleCondSets   int
+			}
+			v := func(r *SweepResult) verdicts {
+				return verdicts{
+					r.Packages, r.PackagesWithReports, r.Files, r.Functions, r.Reports,
+					r.ReportsByAlgo[core.AlgoElimination],
+					r.ReportsByAlgo[core.AlgoSimplifyBool],
+					r.ReportsByAlgo[core.AlgoSimplifyAlgebra],
+					r.MinSetHistogram[1],
 				}
-				type verdicts struct {
-					Packages, PackagesWithReports, Files, Functions, Reports int
-					Elimination, BoolOracle, AlgebraOracle, SingleCondSets   int
-				}
-				v := func(r *SweepResult) verdicts {
-					return verdicts{
-						r.Packages, r.PackagesWithReports, r.Files, r.Functions, r.Reports,
-						r.ReportsByAlgo[core.AlgoElimination],
-						r.ReportsByAlgo[core.AlgoSimplifyBool],
-						r.ReportsByAlgo[core.AlgoSimplifyAlgebra],
-						r.MinSetHistogram[1],
-					}
-				}
-				if v(ssa) != v(legacy) {
-					t.Errorf("verdict counts differ:\n legacy: %+v\n ssa:    %+v", v(legacy), v(ssa))
-				}
-				if log := reportLogLines(ssa); log != legacyLog {
-					t.Errorf("report logs differ:\n--- legacy\n%s--- ssa workers=%d %s\n%s", legacyLog, workers, mode, log)
-				}
-				if ssa.GVNHits > 0 {
-					sawGVN = true
-				}
-			})
-		}
+			}
+			if v(ssa) != v(legacy) {
+				t.Errorf("verdict counts differ:\n legacy: %+v\n ssa:    %+v", v(legacy), v(ssa))
+			}
+			if log := reportLogLines(ssa); log != legacyLog {
+				t.Errorf("report logs differ:\n--- legacy\n%s--- ssa workers=%d\n%s", legacyLog, workers, log)
+			}
+			if ssa.Stats.GVNHits > 0 {
+				sawGVN = true
+			}
+		})
 	}
 	if !sawGVN {
 		t.Error("SSA sweeps recorded no GVN hits; the differential gate is not exercising the passes")
@@ -98,10 +91,10 @@ func TestSSASweepDoesLessSolverWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ssa.TermsBlasted > legacy.TermsBlasted {
-		t.Errorf("TermsBlasted rose under SSA: legacy %d, ssa %d", legacy.TermsBlasted, ssa.TermsBlasted)
+	if ssa.Stats.TermsBlasted > legacy.Stats.TermsBlasted {
+		t.Errorf("TermsBlasted rose under SSA: legacy %d, ssa %d", legacy.Stats.TermsBlasted, ssa.Stats.TermsBlasted)
 	}
-	if ssa.GVNHits == 0 {
+	if ssa.Stats.GVNHits == 0 {
 		t.Error("GVNHits = 0; the archive should contain duplicate computations")
 	}
 }

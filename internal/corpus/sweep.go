@@ -21,13 +21,11 @@ package corpus
 // are wall-clock sums over workers and vary run to run like any
 // measured duration.
 //
-// By default results stream: check workers hand each finished file to
-// the emitter over a bounded channel, the emitter holds only the
-// out-of-order files currently in flight (O(Workers), not O(archive)),
-// and the aggregate — plus the caller's RunStream callback, if any —
-// consumes files strictly in archive order. Sweeper.Buffered selects
-// the legacy collect-everything-then-merge path instead; both modes
-// produce byte-identical SweepResult values, which sweep tests assert.
+// Results stream: check workers hand each finished file to the emitter
+// over a bounded channel, the emitter holds only the out-of-order files
+// currently in flight (O(Workers), not O(archive)), and the aggregate —
+// plus the caller's RunStream callback, if any — consumes files
+// strictly in archive order.
 //
 // One caveat bounds that guarantee: it assumes each solver query's
 // verdict is itself reproducible. With Options.Timeout set, a query
@@ -63,19 +61,14 @@ type Sweeper struct {
 	// are identical for every worker count (see the package caveats on
 	// timing fields and wall-clock query timeouts).
 	Workers int
-	// Buffered selects the legacy merge strategy: collect every file's
-	// result in an archive-sized slice, then reduce. The default
-	// (false) streams results through the in-order emitter with
-	// O(Workers) buffering. Output is byte-identical either way.
-	Buffered bool
 	// Cache, when non-nil, is consulted per file before the frontend
 	// runs: a hit delivers the cached reports straight to the in-order
 	// emitter (no parse, no IR, no solver), a miss analyzes the file
 	// and stores the finished result. Because hits and fresh results
 	// flow through the same ordered delivery path, a warm sweep's
 	// diagnostic stream is byte-identical to a cold one for any worker
-	// count. Workers and Buffered never enter the cache key — they
-	// cannot change results, only how results are computed.
+	// count. Workers never enters the cache key — it cannot change
+	// results, only how results are computed.
 	Cache ResultCache
 }
 
@@ -110,54 +103,15 @@ type SweepResult struct {
 	ReportsByAlgo       map[core.Algo]int
 	ReportsByKind       map[core.UBKind]int
 	MinSetHistogram     map[int]int
-	Queries             int64
-	Timeouts            int64
 	BuildTime           time.Duration // frontend + IR construction, summed over workers
 	AnalysisTime        time.Duration // solver-based checking, summed over workers
-	// RewriteHits / TermsCreated / FastPaths surface the word-level
-	// rewrite layer (see internal/bv/rewrite.go).
-	RewriteHits  int64
-	TermsCreated int64
-	FastPaths    int64
-	// TermsBlasted / BlastPasses / LearntsReused surface the
-	// incremental solving sessions (see bv.Session): terms lowered to
-	// CNF, queries that lowered anything new, and learned clauses
-	// already retained when each query began.
-	TermsBlasted  int64
-	BlastPasses   int64
-	LearntsReused int64
-	// CacheHits counts term constructions answered from the builder's
-	// hash-consing table — chains the canonicalizer folded onto an
-	// existing node count here. LearntsDropped counts learned clauses
-	// discarded by database reductions and session budget trims.
-	// ArenaBytesReused counts bytes the term arenas served from recycled
-	// slabs instead of fresh heap allocations.
-	CacheHits        int64
-	LearntsDropped   int64
-	ArenaBytesReused int64
-	// The SSA pass stack and the dominator-ordered elimination walk
-	// (ir.RunSSAPasses, core.Options.SSA; all zero with SSA off). Like
-	// ArenaBytesReused these are deliberately absent from Format():
-	// they track solver-side effort, not analysis results, and the text
-	// block stays byte-identical between the SSA and legacy pipelines.
-	PromotedAllocas       int64
-	EliminatedStores      int64
-	GVNHits               int64
-	SCCPFoldedValues      int64
-	SCCPFoldedBranches    int64
-	SCCPUnreachableBlocks int64
-	CrossBlockGVNHits     int64
-	HoistedUBTerms        int64
-	DomOrderedSkips       int64
-	// CacheResultHits / CacheResultMisses count files answered whole
-	// from the Sweeper.Cache result cache versus analyzed for real.
-	// Both are zero without a configured cache. Like ArenaBytesReused
-	// they are deliberately absent from Format(): whether a result came
-	// from the cache is an operational fact, not an analysis result,
-	// and the text block stays byte-identical between cold and warm
-	// runs.
-	CacheResultHits   int64
-	CacheResultMisses int64
+	// Stats sums the checker counters over every worker (see
+	// core.Stats). Format prints only the deterministic ones:
+	// ArenaBytesReused varies with the worker count, and the SSA and
+	// result-cache counters stay out so that the text block is
+	// byte-identical between the SSA and legacy pipelines and between
+	// cold and warm runs.
+	Stats core.Stats
 	// ReportLog lists every report with its file, sorted by file, then
 	// position, then algorithm — the deterministic flat view of the
 	// sweep, independent of worker count and scheduling.
@@ -219,15 +173,11 @@ func (s *Sweeper) workerCount() int {
 }
 
 // Run sweeps the archive through the parallel pipeline and returns the
-// merged result. The default implementation streams (see RunStream);
-// Buffered selects the legacy archive-sized collection slice.
-// Cancelling ctx shuts the pipeline down without deadlock — each
-// in-flight solver query returns within one check interval — and Run
-// returns ctx's error.
+// merged result (RunStream without a per-file callback). Cancelling
+// ctx shuts the pipeline down without deadlock — each in-flight solver
+// query returns within one check interval — and Run returns ctx's
+// error.
 func (s *Sweeper) Run(ctx context.Context, pkgs []Package) (*SweepResult, error) {
-	if s.Buffered {
-		return s.runBuffered(ctx, pkgs)
-	}
 	return s.RunStream(ctx, pkgs, nil)
 }
 
@@ -270,34 +220,12 @@ func (s *Sweeper) RunStream(ctx context.Context, pkgs []Package, emitFn func(Fil
 	return acc.finish(workerStats), nil
 }
 
-// runBuffered is the legacy merge strategy: every file's result lands
-// in an archive-sized slice slot, reduced only after the pipeline
-// drains.
-func (s *Sweeper) runBuffered(ctx context.Context, pkgs []Package) (*SweepResult, error) {
-	workers := s.workerCount()
-	files := 0
-	for _, p := range pkgs {
-		files += len(p.Files)
-	}
-	results := make([]fileResult, files) // disjoint per-index writes
-	workerStats, err := s.runPipeline(ctx, pkgs, workers, nil, func(r fileResult) { results[r.idx] = r })
-	if err != nil {
-		return nil, err
-	}
-	acc := newAccumulator(pkgs)
-	for i := range results {
-		acc.add(results[i])
-	}
-	return acc.finish(workerStats), nil
-}
-
 // runPipeline runs the feeder→build→check stages over the archive,
 // invoking deliver from check workers (possibly concurrently) for each
-// finished file. When admit is non-nil the feeder calls it per file
-// before feeding (the streaming emitter's admission window; slots free
-// as delivery advances), bounding the files in flight. It returns the
-// per-worker checker stats and the first error; on error the pipeline
-// shuts down without deadlocking (feeder and builders select on the
+// finished file. The feeder calls admit per file before feeding (the
+// emitter's admission window; slots free as delivery advances),
+// bounding the files in flight. It returns the per-worker checker
+// stats and the first error; on error the pipeline shuts down without deadlocking (feeder and builders select on the
 // stop channel — which admit also observes) and undelivered files are
 // simply absent.
 func (s *Sweeper) runPipeline(ctx context.Context, pkgs []Package, workers int, admit func(stop <-chan struct{}) bool, deliver func(fileResult)) ([]core.Stats, error) {
@@ -343,16 +271,7 @@ func (s *Sweeper) runPipeline(ctx context.Context, pkgs []Package, workers int, 
 				t0 := time.Now()
 				if s.Cache != nil {
 					if cf, ok := s.Cache.Lookup(j.name, j.src); ok {
-						// Replay the program-shape counters the checker
-						// would have accumulated; effort counters stay
-						// zero because no solver work happened.
-						cs := &cacheStats[w]
-						cs.CacheResultHits++
-						cs.Functions += cf.Functions
-						cs.Blocks += cf.Blocks
-						for _, r := range cf.Reports {
-							cs.ReportsByAlgo[r.Algo]++
-						}
+						cf.ReplayHit(&cacheStats[w])
 						deliver(fileResult{
 							idx:       j.idx,
 							pkgIdx:    j.pkgIdx,
@@ -430,7 +349,7 @@ func (s *Sweeper) runPipeline(ctx context.Context, pkgs []Package, workers int, 
 	go func() {
 		defer close(jobCh)
 		for _, j := range jobs {
-			if admit != nil && !admit(stop) {
+			if !admit(stop) {
 				return
 			}
 			select {
@@ -448,8 +367,7 @@ func (s *Sweeper) runPipeline(ctx context.Context, pkgs []Package, workers int, 
 }
 
 // accumulator folds per-file results, delivered in archive order, into
-// a SweepResult. Sharing it between the streaming and buffered paths is
-// what makes their outputs byte-identical.
+// a SweepResult.
 type accumulator struct {
 	res           *SweepResult
 	pkgHadReports []bool
@@ -498,32 +416,9 @@ func (a *accumulator) finish(workerStats []core.Stats) *SweepResult {
 			res.PackagesWithReports++
 		}
 	}
-	var st core.Stats
 	for _, ws := range workerStats {
-		st.Add(ws)
+		res.Stats.Add(ws)
 	}
-	res.Queries = st.Queries
-	res.Timeouts = st.Timeouts
-	res.RewriteHits = st.RewriteHits
-	res.TermsCreated = st.TermsCreated
-	res.FastPaths = st.FastPaths
-	res.TermsBlasted = st.TermsBlasted
-	res.BlastPasses = st.BlastPasses
-	res.LearntsReused = st.LearntsReused
-	res.CacheHits = st.CacheHits
-	res.LearntsDropped = st.LearntsDropped
-	res.ArenaBytesReused = st.ArenaBytesReused
-	res.PromotedAllocas = st.PromotedAllocas
-	res.EliminatedStores = st.EliminatedStores
-	res.GVNHits = st.GVNHits
-	res.SCCPFoldedValues = st.SCCPFoldedValues
-	res.SCCPFoldedBranches = st.SCCPFoldedBranches
-	res.SCCPUnreachableBlocks = st.SCCPUnreachableBlocks
-	res.CrossBlockGVNHits = st.CrossBlockGVNHits
-	res.HoistedUBTerms = st.HoistedUBTerms
-	res.DomOrderedSkips = st.DomOrderedSkips
-	res.CacheResultHits = st.CacheResultHits
-	res.CacheResultMisses = st.CacheResultMisses
 
 	sort.SliceStable(res.ReportLog, func(i, j int) bool {
 		a, b := res.ReportLog[i], res.ReportLog[j]
@@ -550,16 +445,17 @@ func (r *SweepResult) Format() string {
 		r.PackagesWithReports, 100*float64(r.PackagesWithReports)/float64(max(1, r.Packages)))
 	fmt.Fprintf(&b, "files / functions:       %d / %d\n", r.Files, r.Functions)
 	fmt.Fprintf(&b, "build time / analysis:   %v / %v\n", r.BuildTime.Round(time.Millisecond), r.AnalysisTime.Round(time.Millisecond))
-	fmt.Fprintf(&b, "solver queries:          %d (%d timeouts)\n", r.Queries, r.Timeouts)
-	fmt.Fprintf(&b, "rewrite hits / fast paths: %d / %d\n", r.RewriteHits, r.FastPaths)
+	st := &r.Stats
+	fmt.Fprintf(&b, "solver queries:          %d (%d timeouts)\n", st.Queries, st.Timeouts)
+	fmt.Fprintf(&b, "rewrite hits / fast paths: %d / %d\n", st.RewriteHits, st.FastPaths)
 	fmt.Fprintf(&b, "terms blasted / blast passes: %d / %d (learnt reuse %d)\n",
-		r.TermsBlasted, r.BlastPasses, r.LearntsReused)
+		st.TermsBlasted, st.BlastPasses, st.LearntsReused)
 	// ArenaBytesReused is deliberately absent here: it tracks per-process
 	// allocator reuse, which varies with worker count, and this text
 	// block is byte-identical for any -j. It stays available in the
 	// struct and the JSON stats encodings.
 	fmt.Fprintf(&b, "builder cache hits / learnts dropped: %d / %d\n",
-		r.CacheHits, r.LearntsDropped)
+		st.CacheHits, st.LearntsDropped)
 	b.WriteString("\nreports by algorithm (Fig. 17):\n")
 	for a := core.AlgoElimination; a <= core.AlgoSimplifyAlgebra; a++ {
 		fmt.Fprintf(&b, "  %-34s %d\n", a.String(), r.ReportsByAlgo[a])

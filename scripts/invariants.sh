@@ -140,9 +140,9 @@ check_fingerprint() {
 	echo "invariants: ok: cache fingerprint covers every core.Options field"
 }
 
-# check_ssa_passes IR_FILE CORE_FILE TEST_ROOT — every pass invoked in
+# check_ssa_passes IR_FILE STATS_FILE TEST_ROOT — every pass invoked in
 # the body of RunSSAPasses (IR_FILE) must have a registry row below
-# mapping it to a core.Stats counter (present in CORE_FILE's Stats
+# mapping it to a core.Stats counter (present in STATS_FILE's Stats
 # struct) and a differential fuzz oracle (a Fuzz* function present in
 # the _test.go sources under TEST_ROOT).
 check_ssa_passes() {
@@ -350,10 +350,25 @@ self_test() {
 		pass=1
 	fi
 
+	# core.Stats declares each counter once with its json/prom/help
+	# tags; the field parser must still find a tagged counter.
+	cat >"$tmp/f/core/tagged.go" <<-'EOF'
+		package core
+
+		type Stats struct {
+			Queries          int64 `json:"queries" prom:"stackd_solver_queries_total" help:"Solver queries issued."`
+			SCCPFoldedValues int64 `json:"sccpFoldedValues,omitempty" prom:"stackd_solver_sccp_folded_values_total" help:"Values SCCP transmuted to constants (WithSSA)."`
+		}
+	EOF
+	if ! check_ssa_passes "$tmp/f/ir/registered.go" "$tmp/f/core/tagged.go" "$tmp/f/tests" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: tagged Stats counter not parsed" >&2
+		pass=1
+	fi
+
 	if [ "$pass" -ne 0 ]; then
 		return 1
 	fi
-	echo "invariants: self-test ok (9 cases)"
+	echo "invariants: self-test ok (10 cases)"
 }
 
 if [ "${1:-}" = "--self-test" ]; then
@@ -364,4 +379,4 @@ fi
 check_one_emitter "$ROOT"
 check_codes "$ROOT" "$ROOT/scripts/codes.manifest"
 check_fingerprint "$ROOT/internal/core/checker.go" "$ROOT/stack/cachekey.go"
-check_ssa_passes "$ROOT/internal/ir/analysis.go" "$ROOT/internal/core/checker.go" "$ROOT/internal"
+check_ssa_passes "$ROOT/internal/ir/analysis.go" "$ROOT/internal/core/stats.go" "$ROOT/internal"

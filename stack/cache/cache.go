@@ -90,18 +90,6 @@ type Stats struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-// Add accumulates other into s — the reduction step when per-level
-// stats are merged.
-func (s *Stats) Add(other Stats) {
-	s.Hits += other.Hits
-	s.Misses += other.Misses
-	s.Puts += other.Puts
-	s.Evictions += other.Evictions
-	s.Errors += other.Errors
-	s.Entries += other.Entries
-	s.Bytes += other.Bytes
-}
-
 // Cache is a content-addressed byte store. Implementations must be
 // safe for concurrent use.
 //

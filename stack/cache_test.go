@@ -14,9 +14,8 @@ import (
 
 // TestWarmCacheSweepByteIdentity is the tentpole gate: a sweep served
 // entirely from a warm result cache produces byte-identical output to
-// the cold run that populated it — across worker counts 1/4/16 and
-// both the streaming and buffered merge strategies — while doing zero
-// solver work.
+// the cold run that populated it — across worker counts 1/4/16 — while
+// doing zero solver work.
 func TestWarmCacheSweepByteIdentity(t *testing.T) {
 	pkgs := publicPackages(sweepArchive())
 	c := cache.NewMemory(8 << 20)
@@ -42,40 +41,34 @@ func TestWarmCacheSweepByteIdentity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4, 16} {
-		for _, buffered := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d buffered=%t", workers, buffered)
-			az := New(opts(WithWorkers(workers), WithBufferedSweep(buffered))...)
-			var warmBuf bytes.Buffer
-			var sink Sink
-			if !buffered { // a sink forces streaming, so buffered runs without one
-				sink = NewTextSink(&warmBuf)
-			}
-			res, err := az.Sweep(context.Background(), pkgs, sink)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !buffered && warmBuf.String() != coldBuf.String() {
-				t.Errorf("%s: warm sink stream diverged from cold\n--- warm ---\n%s--- cold ---\n%s",
-					name, warmBuf.String(), coldBuf.String())
-			}
-			// The summary's effort counters (queries, blasted terms) are
-			// genuinely zero on a warm run and its timing lines vary, but
-			// the report sections must match the cold run byte for byte.
-			if got, want := reportSections(t, res.Format()), reportSections(t, coldRes.Format()); got != want {
-				t.Errorf("%s: warm report summary diverged from cold\n--- warm ---\n%s--- cold ---\n%s", name, got, want)
-			}
-			if res.CacheResultHits != files || res.CacheResultMisses != 0 {
-				t.Errorf("%s: warm counters hits=%d misses=%d, want %d/0",
-					name, res.CacheResultHits, res.CacheResultMisses, files)
-			}
-			// A fully warm sweep does no solver work at all.
-			if res.Queries != 0 {
-				t.Errorf("%s: warm sweep issued %d solver queries, want 0", name, res.Queries)
-			}
-			if res.Reports != coldRes.Reports || res.Functions != coldRes.Functions || res.Files != coldRes.Files ||
-				res.PackagesWithReports != coldRes.PackagesWithReports {
-				t.Errorf("%s: warm summary fields diverged: %+v vs %+v", name, res, coldRes)
-			}
+		name := fmt.Sprintf("workers=%d", workers)
+		az := New(opts(WithWorkers(workers))...)
+		var warmBuf bytes.Buffer
+		res, err := az.Sweep(context.Background(), pkgs, NewTextSink(&warmBuf))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if warmBuf.String() != coldBuf.String() {
+			t.Errorf("%s: warm sink stream diverged from cold\n--- warm ---\n%s--- cold ---\n%s",
+				name, warmBuf.String(), coldBuf.String())
+		}
+		// The summary's effort counters (queries, blasted terms) are
+		// genuinely zero on a warm run and its timing lines vary, but
+		// the report sections must match the cold run byte for byte.
+		if got, want := reportSections(t, res.Format()), reportSections(t, coldRes.Format()); got != want {
+			t.Errorf("%s: warm report summary diverged from cold\n--- warm ---\n%s--- cold ---\n%s", name, got, want)
+		}
+		if res.CacheResultHits != files || res.CacheResultMisses != 0 {
+			t.Errorf("%s: warm counters hits=%d misses=%d, want %d/0",
+				name, res.CacheResultHits, res.CacheResultMisses, files)
+		}
+		// A fully warm sweep does no solver work at all.
+		if res.Queries != 0 {
+			t.Errorf("%s: warm sweep issued %d solver queries, want 0", name, res.Queries)
+		}
+		if res.Reports != coldRes.Reports || res.Functions != coldRes.Functions || res.Files != coldRes.Files ||
+			res.PackagesWithReports != coldRes.PackagesWithReports {
+			t.Errorf("%s: warm summary fields diverged: %+v vs %+v", name, res, coldRes)
 		}
 	}
 }
@@ -215,9 +208,9 @@ func TestCacheKeyOptionSensitivity(t *testing.T) {
 	}
 }
 
-// TestCacheKeyIgnoresExecutionKnobs: Workers and BufferedSweep cannot
-// change results, so analyzers differing only in them share entries —
-// asserted behaviorally through a shared cache.
+// TestCacheKeyIgnoresExecutionKnobs: Workers cannot change results, so
+// analyzers differing only in it share entries — asserted behaviorally
+// through a shared cache.
 func TestCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 	c := cache.NewMemory(1 << 20)
 	ctx := context.Background()
@@ -226,7 +219,6 @@ func TestCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 	}
 	for _, az := range []*Analyzer{
 		New(WithSolverTimeout(0), WithCache(c), WithWorkers(16)),
-		New(WithSolverTimeout(0), WithCache(c), WithBufferedSweep(true)),
 	} {
 		res, err := az.CheckSource(ctx, "a.c", fig1Src)
 		if err != nil {

@@ -15,7 +15,7 @@ package stack
 // result-affecting field of core.Options — change any of them and the
 // key changes, so a cache can never serve a result computed under
 // different semantics. Fields that cannot affect results (the
-// analyzer's Workers and Buffered knobs, the sink format) live outside
+// analyzer's Workers knob, the sink format) live outside
 // core.Options and are excluded by construction. The fingerprint names
 // each field verbatim; TestOptionsFingerprintCoversAllFields reflects
 // over core.Options to prove no field is forgotten, and

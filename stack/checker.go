@@ -25,33 +25,3 @@ type Checker interface {
 
 // Analyzer is the in-process Checker.
 var _ Checker = (*Analyzer)(nil)
-
-// Add accumulates other into s — the reduction step when per-worker or
-// per-replica stats are merged.
-func (s *Stats) Add(other Stats) {
-	s.Functions += other.Functions
-	s.Blocks += other.Blocks
-	s.Queries += other.Queries
-	s.Timeouts += other.Timeouts
-	s.RewriteHits += other.RewriteHits
-	s.TermsCreated += other.TermsCreated
-	s.FastPaths += other.FastPaths
-	s.TermsBlasted += other.TermsBlasted
-	s.BlastPasses += other.BlastPasses
-	s.LearntsReused += other.LearntsReused
-	s.CacheHits += other.CacheHits
-	s.LearntsDropped += other.LearntsDropped
-	s.ArenaBytesReused += other.ArenaBytesReused
-	s.PromotedAllocas += other.PromotedAllocas
-	s.EliminatedStores += other.EliminatedStores
-	s.GVNHits += other.GVNHits
-	s.SCCPFoldedValues += other.SCCPFoldedValues
-	s.SCCPFoldedBranches += other.SCCPFoldedBranches
-	s.SCCPUnreachableBlocks += other.SCCPUnreachableBlocks
-	s.CrossBlockGVNHits += other.CrossBlockGVNHits
-	s.HoistedUBTerms += other.HoistedUBTerms
-	s.DomOrderedSkips += other.DomOrderedSkips
-	s.SSASharpened += other.SSASharpened
-	s.CacheResultHits += other.CacheResultHits
-	s.CacheResultMisses += other.CacheResultMisses
-}

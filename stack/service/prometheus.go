@@ -8,6 +8,7 @@ package service
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 )
 
@@ -59,32 +60,13 @@ func writePrometheus(w io.Writer, snap metricsSnapshot) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	st := snap.Solver
-	counter("stackd_solver_functions_total", "Functions analyzed.", int64(st.Functions))
-	counter("stackd_solver_blocks_total", "Basic blocks analyzed.", int64(st.Blocks))
-	counter("stackd_solver_queries_total", "Solver queries issued.", st.Queries)
-	counter("stackd_solver_timeouts_total", "Solver queries that hit the per-query timeout.", st.Timeouts)
-	counter("stackd_solver_rewrite_hits_total", "Term constructions answered by word-level rewrites.", st.RewriteHits)
-	counter("stackd_solver_terms_created_total", "Interned term nodes created.", st.TermsCreated)
-	counter("stackd_solver_fast_paths_total", "Queries decided from constants without CDCL search.", st.FastPaths)
-	counter("stackd_solver_terms_blasted_total", "Terms lowered to CNF.", st.TermsBlasted)
-	counter("stackd_solver_blast_passes_total", "Queries that lowered at least one new term.", st.BlastPasses)
-	counter("stackd_solver_learnts_reused_total", "Learned clauses retained across queries.", st.LearntsReused)
-	counter("stackd_solver_builder_cache_hits_total", "Term constructions answered by hash-consing.", st.CacheHits)
-	counter("stackd_solver_learnts_dropped_total", "Learned clauses discarded by reductions and budgets.", st.LearntsDropped)
-	counter("stackd_solver_arena_bytes_reused_total", "Term-arena bytes served from recycled slabs.", st.ArenaBytesReused)
-	counter("stackd_solver_promoted_allocas_total", "Allocas promoted to SSA values (WithSSA).", st.PromotedAllocas)
-	counter("stackd_solver_eliminated_stores_total", "Stores removed by SSA passes (WithSSA).", st.EliminatedStores)
-	counter("stackd_solver_gvn_hits_total", "Values merged by value numbering (WithSSA).", st.GVNHits)
-	counter("stackd_solver_sccp_folded_values_total", "Values SCCP transmuted to constants (WithSSA).", st.SCCPFoldedValues)
-	counter("stackd_solver_sccp_folded_branches_total", "Branch conditions SCCP proved constant (WithSSA).", st.SCCPFoldedBranches)
-	counter("stackd_solver_sccp_unreachable_blocks_total", "Blocks SCCP found unreachable (WithSSA).", st.SCCPUnreachableBlocks)
-	counter("stackd_solver_cross_block_gvn_hits_total", "Values merged into a dominating block's representative (WithSSA).", st.CrossBlockGVNHits)
-	counter("stackd_solver_hoisted_ub_terms_total", "UB-carrying instructions hoisted out of loop headers (WithSSA).", st.HoistedUBTerms)
-	counter("stackd_solver_dom_ordered_skips_total", "Elimination queries skipped by the dominator-ordered walk (WithSSA).", st.DomOrderedSkips)
-	counter("stackd_solver_ssa_sharpened_total", "Functions where SSA passes sharpened beyond the rewrite layer (WithSSA).", st.SSASharpened)
-	counter("stackd_result_cache_result_hits_total", "Sources answered whole from the result cache.", st.CacheResultHits)
-	counter("stackd_result_cache_result_misses_total", "Sources analyzed for real (result-cache misses).", st.CacheResultMisses)
+	// The solver counters are core.Stats fields; each carries its
+	// metric name and help text in prom/help tags, in exposition order.
+	st := reflect.ValueOf(snap.Solver)
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Type().Field(i)
+		counter(f.Tag.Get("prom"), f.Tag.Get("help"), st.Field(i).Int())
+	}
 
 	if c := snap.ResultCache; c != nil {
 		counter("stackd_result_cache_hits_total", "Result-cache lookups that hit.", c.Hits)

@@ -337,7 +337,7 @@ func TestTextSinkSweepByteIdentity(t *testing.T) {
 			t.Errorf("workers=%d: text sink output diverged from legacy stream\n--- got ---\n%s--- want ---\n%s",
 				workers, got.String(), want.String())
 		}
-		if res.Reports != wantRes.Reports || res.Queries != wantRes.Queries || res.Files != wantRes.Files ||
+		if res.Reports != wantRes.Reports || res.Queries != wantRes.Stats.Queries || res.Files != wantRes.Files ||
 			res.Functions != wantRes.Functions || res.PackagesWithReports != wantRes.PackagesWithReports {
 			t.Errorf("workers=%d: summary mismatch: %+v vs internal %+v", workers, res, wantRes)
 		}

@@ -17,8 +17,7 @@ type Package struct {
 
 // SweepResult summarizes a whole-archive run: the quantities of the
 // paper's Figures 16–18 evaluation. Everything except the timing
-// fields is deterministic — byte-identical for any worker count and
-// between streaming and buffered modes.
+// fields is deterministic — byte-identical for any worker count.
 type SweepResult struct {
 	Packages            int   `json:"packages"`
 	PackagesWithReports int   `json:"packagesWithReports"`
@@ -60,7 +59,7 @@ func (a *Analyzer) Sweep(ctx context.Context, pkgs []Package, sink Sink) (*Sweep
 	for i, p := range pkgs {
 		cps[i] = corpus.Package{Name: p.Name, Files: p.Files}
 	}
-	sw := &corpus.Sweeper{Options: a.opts, Workers: a.workers, Buffered: a.buffered}
+	sw := &corpus.Sweeper{Options: a.opts, Workers: a.workers}
 	if a.cache != nil {
 		// Assigned only when non-nil: a typed-nil *resultCache in the
 		// interface field would make the sweeper consult a dead cache.
@@ -109,10 +108,10 @@ func (a *Analyzer) Sweep(ctx context.Context, pkgs []Package, sink Sink) (*Sweep
 		Files:               res.Files,
 		Functions:           res.Functions,
 		Reports:             res.Reports,
-		Queries:             res.Queries,
-		Timeouts:            res.Timeouts,
-		CacheResultHits:     res.CacheResultHits,
-		CacheResultMisses:   res.CacheResultMisses,
+		Queries:             res.Stats.Queries,
+		Timeouts:            res.Stats.Timeouts,
+		CacheResultHits:     res.Stats.CacheResultHits,
+		CacheResultMisses:   res.Stats.CacheResultMisses,
 		BuildTime:           res.BuildTime,
 		AnalysisTime:        res.AnalysisTime,
 		inner:               res,
