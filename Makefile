@@ -108,7 +108,9 @@ bench-gate:
 
 # Run each native fuzz target briefly (go test allows one -fuzz
 # pattern per invocation). Seed corpora live under testdata/fuzz and
-# are also replayed by plain `make test`. The last four are the SSA
+# are also replayed by plain `make test`. FuzzSolveAssuming checks the
+# incremental SAT core (verdicts, models, failed assumptions and the
+# clause arena) against brute force. The last four are the SSA
 # differential oracles: end-to-end byte identity of checker output
 # keyed on SSASharpened, plus per-pass execution equivalence for SCCP,
 # loop-invariant UB hoisting, and cross-block GVN.
@@ -117,6 +119,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bv -run '^$$' -fuzz '^FuzzTermConstruction$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolveAssuming$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSSADifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzSCCPDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzHoistDifferential$$' -fuzztime $(FUZZTIME)

@@ -8,42 +8,108 @@ import (
 // mkLearnt fabricates a learned clause over the given literals with
 // the given activity, attached and registered like one produced by
 // conflict analysis.
-func mkLearnt(s *Solver, act float64, ls ...Lit) *clause {
+func mkLearnt(s *Solver, act float64, ls ...Lit) cref {
 	c := s.newClause(ls, true)
-	c.act = act
+	s.setAct(c, act)
 	s.learnts = append(s.learnts, c)
 	s.attach(c)
 	return c
 }
 
-// watchConsistent verifies the two-literal watching invariants: every
-// watcher points at a live clause that really watches that literal,
-// and every live clause with ≥2 literals is watched on exactly its
-// first two literals.
-func watchConsistent(t *testing.T, s *Solver) {
+// litsOf returns the literals of c as Lits, for messages and checks.
+func litsOf(s *Solver, c cref) []Lit {
+	var out []Lit
+	for _, w := range s.lits(c) {
+		out = append(out, Lit(w))
+	}
+	return out
+}
+
+// arenaConsistent verifies the clause arena and the two-literal
+// watching invariants:
+//   - the arena parses as a sequence of clause headers, each followed by
+//     its activity words (learnt clauses only) and at least two literals;
+//   - every cref in clauses, learnts, the watch lists and the var
+//     reasons points to a live clause header, with the learned bit
+//     matching the list it is in;
+//   - every live clause is watched exactly once on each of its first two
+//     literals, with a blocker taken from the clause, and no watcher
+//     references a detached clause;
+//   - a var's reason is noReason or a live clause whose first literal is
+//     the var's current assignment.
+func arenaConsistent(t *testing.T, s *Solver) {
 	t.Helper()
-	live := map[*clause]bool{}
-	for _, c := range s.clauses {
-		live[c] = true
+	header := map[cref]bool{}
+	for off := 0; off < len(s.arena); {
+		h := s.arena[off]
+		if h>>1 < 2 {
+			t.Fatalf("clause at %d has %d literals, want at least 2", off, h>>1)
+		}
+		header[cref(off)] = true
+		off += 1 + int(h&1)*2 + int(h>>1)
+		if off > len(s.arena) {
+			t.Fatalf("last clause runs past the arena end %d", len(s.arena))
+		}
 	}
-	for _, c := range s.learnts {
-		live[c] = true
+	live := map[cref]bool{}
+	register := func(list string, cs []cref, learned bool) {
+		for _, c := range cs {
+			if !header[c] {
+				t.Fatalf("%s holds cref %d, which is not a clause header", list, c)
+			}
+			if live[c] {
+				t.Fatalf("%s holds cref %d twice", list, c)
+			}
+			if s.learned(c) != learned {
+				t.Fatalf("%s holds clause %v with learned=%v", list, litsOf(s, c), s.learned(c))
+			}
+			live[c] = true
+		}
 	}
-	counts := map[*clause]int{}
+	register("clauses", s.clauses, false)
+	register("learnts", s.learnts, true)
+	type watch struct {
+		c cref
+		l Lit
+	}
+	counts := map[watch]int{}
 	for l := range s.watches {
 		for _, w := range s.watches[l] {
 			if !live[w.c] {
-				t.Fatalf("watch list for lit %d references a detached clause %v", l, w.c.lits)
+				t.Fatalf("watch list for lit %d references cref %d, which is not a live clause", l, w.c)
 			}
-			if w.c.lits[0].Not() != Lit(l) && w.c.lits[1].Not() != Lit(l) {
-				t.Fatalf("clause %v watched on %d, which is neither of its first two literals", w.c.lits, l)
+			lits := litsOf(s, w.c)
+			if lits[0].Not() != Lit(l) && lits[1].Not() != Lit(l) {
+				t.Fatalf("clause %v watched on %d, which is neither of its first two literals", lits, l)
 			}
-			counts[w.c]++
+			hasBlocker := false
+			for _, q := range lits {
+				hasBlocker = hasBlocker || q == Lit(w.blocker)
+			}
+			if !hasBlocker {
+				t.Fatalf("clause %v watched with blocker %d, which is not one of its literals", lits, w.blocker)
+			}
+			counts[watch{w.c, Lit(l).Not()}]++
 		}
 	}
 	for c := range live {
-		if len(c.lits) >= 2 && counts[c] != 2 {
-			t.Fatalf("clause %v has %d watchers, want 2", c.lits, counts[c])
+		lits := litsOf(s, c)
+		for _, l := range lits[:2] {
+			if n := counts[watch{c, l}]; n != 1 {
+				t.Fatalf("clause %v has %d watchers on %d, want 1", lits, n, l)
+			}
+		}
+	}
+	for v, in := range s.info {
+		if in.reason == noReason {
+			continue
+		}
+		if !live[in.reason] {
+			t.Fatalf("var %d has reason cref %d, which is not a live clause", v, in.reason)
+		}
+		first := Lit(s.lits(in.reason)[0])
+		if first.Var() != Var(v) || s.value(first) != lTrue {
+			t.Fatalf("var %d has reason %v, whose first literal is not its true assignment", v, litsOf(s, in.reason))
 		}
 	}
 }
@@ -61,14 +127,14 @@ func TestReduceDBRetention(t *testing.T) {
 	cold2 := mkLearnt(s, 2, v[5], v[8], v[11]) // below median: dropped
 	// Five hot clauses pin the median at 50, clearly above the colds
 	// (the drop rule is act < median; median-tied clauses survive).
-	hots := make([]*clause, 5)
+	hots := make([]cref, 5)
 	for i := range hots {
 		hots[i] = mkLearnt(s, 50, v[i], v[i+4].Not(), v[i+7])
 	}
 
 	// Make `locked` the reason for its first literal, as if propagation
 	// had just enqueued it.
-	s.uncheckedEnqueue(locked.lits[0], locked)
+	s.uncheckedEnqueue(Lit(s.lits(locked)[0]), locked)
 	if !s.locked(locked) {
 		t.Fatal("test setup: clause not locked")
 	}
@@ -76,7 +142,7 @@ func TestReduceDBRetention(t *testing.T) {
 	s.LearntFloor = 1 // force reduction on a tiny database
 	s.reduceDB()
 
-	kept := map[*clause]bool{}
+	kept := map[cref]bool{}
 	for _, c := range s.learnts {
 		kept[c] = true
 	}
@@ -97,7 +163,7 @@ func TestReduceDBRetention(t *testing.T) {
 	if s.LearntsDropped != 2 {
 		t.Errorf("LearntsDropped = %d, want 2", s.LearntsDropped)
 	}
-	watchConsistent(t, s)
+	arenaConsistent(t, s)
 }
 
 // TestReduceDBFloor: below the floor reduceDB is a no-op; with
@@ -125,7 +191,7 @@ func TestReduceDBFloor(t *testing.T) {
 	if s.LearntFloor != 8 {
 		t.Fatalf("floor after reduction = %d, want 8 (geometric growth)", s.LearntFloor)
 	}
-	watchConsistent(t, s)
+	arenaConsistent(t, s)
 }
 
 // TestTrimLearnts: trimming between solves shrinks the database toward
@@ -155,7 +221,7 @@ func TestTrimLearnts(t *testing.T) {
 	}
 	hasBinary := false
 	for _, c := range s.learnts {
-		if len(c.lits) == 2 {
+		if len(s.lits(c)) == 2 {
 			hasBinary = true
 		}
 	}
@@ -165,7 +231,7 @@ func TestTrimLearnts(t *testing.T) {
 	if got := int(s.LearntsDropped) + len(s.learnts); got != before {
 		t.Errorf("dropped(%d) + kept(%d) != initial(%d)", s.LearntsDropped, len(s.learnts), before)
 	}
-	watchConsistent(t, s)
+	arenaConsistent(t, s)
 }
 
 // TestSolveCorrectAfterReduction: verdicts after forced database
@@ -209,6 +275,6 @@ func TestSolveCorrectAfterReduction(t *testing.T) {
 		case 1:
 			inc.TrimLearnts(4)
 		}
-		watchConsistent(t, inc)
+		arenaConsistent(t, inc)
 	}
 }

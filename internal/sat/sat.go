@@ -5,10 +5,30 @@
 // solver in internal/bv, standing in for the SAT core of Boolector,
 // which the STACK paper used to decide elimination and simplification
 // queries.
+//
+// # Clause storage
+//
+// Every clause lives in one flat arena of 32-bit words, and a clause
+// is named by a cref, the offset of its header word. The header is
+// len<<1 | learned. A learnt clause follows it with two words holding
+// the bits of its float64 activity; a problem clause has none. The
+// literals come after. So a problem clause of n literals takes n+1
+// words and a learnt one n+3:
+//
+//	problem: [n<<1|0] [lit 0] ... [lit n-1]
+//	learnt:  [n<<1|1] [act lo] [act hi] [lit 0] ... [lit n-1]
+//
+// Watchers and per-variable reasons hold crefs, not pointers, so the
+// watch lists and the trail bookkeeping are pointer-free and the
+// garbage collector never scans them. Detached clauses stay in the
+// arena as garbage until the solver is dropped. The arena grows by
+// append, which may move it: no slice of the arena (such as the one
+// lits returns) may be held across a call to newClause.
 package sat
 
 import (
 	"context"
+	"math"
 )
 
 // Var is a propositional variable, numbered from 0.
@@ -79,28 +99,35 @@ func (b lbool) neg() lbool {
 	return lUndef
 }
 
-type clause struct {
-	lits    []Lit
-	learned bool
-	act     float64
-}
+// cref names a clause by the arena offset of its header word.
+type cref uint32
+
+// noReason is the cref of no clause: the reason of decisions,
+// assumptions and units, and propagate's "no conflict". The arena
+// never grows far enough for a clause to start there.
+const noReason cref = math.MaxUint32
+
+// maxVars bounds the variable count: literals are stored in 32-bit
+// arena words, so var<<1 | sign must fit in a uint32.
+const maxVars = 1<<31 - 1
 
 type watcher struct {
-	c       *clause
-	blocker Lit
+	c       cref
+	blocker uint32 // a Lit
 }
 
 type varInfo struct {
-	reason *clause // antecedent clause, nil for decisions/assumptions
-	level  int
+	reason cref // antecedent clause, noReason for decisions/assumptions
+	level  int32
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 // A Solver is not safe for concurrent use.
 type Solver struct {
 	nVars        int
-	clauses      []*clause
-	learnts      []*clause
+	arena        []uint32 // every clause; see the package doc
+	clauses      []cref
+	learnts      []cref
 	watches      [][]watcher // indexed by Lit
 	assign       []lbool     // indexed by Var
 	info         []varInfo   // indexed by Var
@@ -145,15 +172,6 @@ type Solver struct {
 	// TrimLearnts over the solver's lifetime.
 	LearntsDropped int64
 
-	// Slab storage for clause structs and their literal arrays: one
-	// large allocation per slab instead of two small ones per clause.
-	// Slabs are append-only and live as long as the solver; clause
-	// pointers into them stay valid because a slab never grows in
-	// place. Detached clauses leave garbage in the slab until the
-	// solver is dropped — acceptable for solver lifetimes scoped to a
-	// session or a query.
-	clauseSlab []clause
-	litSlab    []Lit
 	// Scratch buffers reused across calls: conflict analysis
 	// (analyzeBuf/touchedBuf) and reduceDB's median selection
 	// (medianBuf) previously allocated per call.
@@ -165,34 +183,58 @@ type Solver struct {
 
 const learntFloorBase = 100
 
-// newClause returns a clause backed by slab storage, holding a copy of
-// lits.
-func (s *Solver) newClause(lits []Lit, learned bool) *clause {
-	if len(s.clauseSlab) == cap(s.clauseSlab) {
-		s.clauseSlab = make([]clause, 0, 256)
+// newClause appends a clause holding a copy of lits to the arena and
+// returns its cref. Learnt clauses start with activity 0. It may move
+// the arena, so callers must not hold a slice of it across the call.
+func (s *Solver) newClause(lits []Lit, learned bool) cref {
+	header := uint32(len(lits)) << 1
+	words := 1 + len(lits)
+	if learned {
+		header |= 1
+		words += 2
 	}
-	s.clauseSlab = s.clauseSlab[:len(s.clauseSlab)+1]
-	c := &s.clauseSlab[len(s.clauseSlab)-1]
-	c.lits = s.allocLits(len(lits))
-	copy(c.lits, lits)
-	c.learned = learned
-	c.act = 0
+	checkArena(len(s.arena), words)
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, header)
+	if learned {
+		s.arena = append(s.arena, 0, 0)
+	}
+	for _, l := range lits {
+		s.arena = append(s.arena, uint32(l))
+	}
 	return c
 }
 
-// allocLits carves an n-literal array out of the literal slab,
-// capacity-capped so the watch-swap writes in propagate stay inside it.
-func (s *Solver) allocLits(n int) []Lit {
-	if len(s.litSlab)+n > cap(s.litSlab) {
-		size := 4096
-		if n > size {
-			size = n
-		}
-		s.litSlab = make([]Lit, 0, size)
+// checkArena panics if a clause of the given number of words, appended
+// to an arena of used words, would reach noReason: past that, crefs and
+// literal offsets no longer fit in 32 bits.
+func checkArena(used, words int) {
+	if used+words > int(noReason) {
+		panic("sat: clause arena limit")
 	}
-	out := s.litSlab[len(s.litSlab) : len(s.litSlab)+n : len(s.litSlab)+n]
-	s.litSlab = s.litSlab[:len(s.litSlab)+n]
-	return out
+}
+
+// learned reports whether c is a learnt clause.
+func (s *Solver) learned(c cref) bool { return s.arena[c]&1 == 1 }
+
+// lits returns the literal words of c. The slice aliases the arena and
+// is invalidated by the next newClause.
+func (s *Solver) lits(c cref) []uint32 {
+	h := s.arena[c]
+	start := uint32(c) + 1 + (h&1)<<1
+	end := start + h>>1
+	return s.arena[start:end:end]
+}
+
+// act returns the activity of the learnt clause c.
+func (s *Solver) act(c cref) float64 {
+	return math.Float64frombits(uint64(s.arena[c+1]) | uint64(s.arena[c+2])<<32)
+}
+
+// setAct sets the activity of the learnt clause c.
+func (s *Solver) setAct(c cref, a float64) {
+	b := math.Float64bits(a)
+	s.arena[c+1], s.arena[c+2] = uint32(b), uint32(b>>32)
 }
 
 // New returns an empty solver.
@@ -202,13 +244,17 @@ func New() *Solver {
 	return s
 }
 
-// NewVar allocates and returns a fresh variable.
+// NewVar allocates and returns a fresh variable. It panics past
+// 2^31-1 variables, the most whose literals fit in 32 bits.
 func (s *Solver) NewVar() Var {
+	if s.nVars >= maxVars {
+		panic("sat: variable limit")
+	}
 	v := Var(s.nVars)
 	s.nVars++
 	s.watches = append(s.watches, nil, nil)
 	s.assign = append(s.assign, lUndef)
-	s.info = append(s.info, varInfo{})
+	s.info = append(s.info, varInfo{reason: noReason})
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.order.insert(v)
@@ -277,8 +323,8 @@ loop:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(norm[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(norm[0], noReason)
+		if s.propagate() != noReason {
 			s.ok = false
 			return false
 		}
@@ -290,17 +336,20 @@ loop:
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	l0, l1 := Lit(lits[0]), Lit(lits[1])
+	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{c, lits[1]})
+	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{c, lits[0]})
 }
 
-func (s *Solver) detach(c *clause) {
-	s.removeWatch(c.lits[0].Not(), c)
-	s.removeWatch(c.lits[1].Not(), c)
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	s.removeWatch(Lit(lits[0]).Not(), c)
+	s.removeWatch(Lit(lits[1]).Not(), c)
 }
 
-func (s *Solver) removeWatch(l Lit, c *clause) {
+func (s *Solver) removeWatch(l Lit, c cref) {
 	ws := s.watches[l]
 	for i := range ws {
 		if ws[i].c == c {
@@ -311,14 +360,14 @@ func (s *Solver) removeWatch(l Lit, c *clause) {
 	}
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, reason *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, reason cref) {
 	v := l.Var()
 	if l.Neg() {
 		s.assign[v] = lFalse
 	} else {
 		s.assign[v] = lTrue
 	}
-	s.info[v] = varInfo{reason: reason, level: s.decisionLevel()}
+	s.info[v] = varInfo{reason: reason, level: int32(s.decisionLevel())}
 	s.trail = append(s.trail, l)
 }
 
@@ -327,41 +376,44 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 func (s *Solver) newDecisionLevel() { s.trailLim = append(s.trailLim, len(s.trail)) }
 
 // propagate performs unit propagation; it returns a conflicting clause
-// or nil.
-func (s *Solver) propagate() *clause {
+// or noReason.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Propagations++
+		falseLit := uint32(p.Not())
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		confl := noReason
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if confl != nil {
+			if confl != noReason {
 				kept = append(kept, w)
 				continue
 			}
-			if s.value(w.blocker) == lTrue {
+			if s.value(Lit(w.blocker)) == lTrue {
 				kept = append(kept, w)
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Make sure the false literal is at lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
+			first := lits[0]
+			if first != w.blocker && s.value(Lit(first)) == lTrue {
 				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// Look for a new watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if s.value(Lit(lits[k])) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					nw := Lit(lits[1]).Not()
+					s.watches[nw] = append(s.watches[nw], watcher{c, first})
 					found = true
 					break
 				}
@@ -371,37 +423,38 @@ func (s *Solver) propagate() *clause {
 			}
 			// Clause is unit or conflicting.
 			kept = append(kept, watcher{c, first})
-			if s.value(first) == lFalse {
+			if s.value(Lit(first)) == lFalse {
 				confl = c
 				s.qhead = len(s.trail)
 				continue
 			}
-			s.uncheckedEnqueue(first, c)
+			s.uncheckedEnqueue(Lit(first), c)
 		}
 		s.watches[p] = kept
-		if confl != nil {
+		if confl != noReason {
 			return confl
 		}
 	}
-	return nil
+	return noReason
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
 // clause (asserting literal first) and the backtrack level. The
 // returned slice aliases a scratch buffer reused by the next call;
-// callers must copy it before retaining (search copies into clause
-// slab storage).
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
+// callers must copy it before retaining (search copies it into the
+// arena).
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	learnt := append(s.analyzeBuf[:0], 0) // placeholder for asserting literal
 	pathC := 0
 	var p Lit = -1
 	touched := s.touchedBuf[:0] // every var whose seen flag was set
 	idx := len(s.trail) - 1
 	for {
-		if confl.learned {
+		if s.learned(confl) {
 			s.bumpClause(confl)
 		}
-		for _, q := range confl.lits {
+		for _, w := range s.lits(confl) {
+			q := Lit(w)
 			if p != -1 && q == p {
 				continue
 			}
@@ -410,7 +463,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 				s.seen[v] = true
 				touched = append(touched, v)
 				s.bumpVar(v)
-				if s.info[v].level >= s.decisionLevel() {
+				if int(s.info[v].level) >= s.decisionLevel() {
 					pathC++
 				} else {
 					learnt = append(learnt, q)
@@ -456,7 +509,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 			}
 		}
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
-		btLevel = s.info[learnt[1].Var()].level
+		btLevel = int(s.info[learnt[1].Var()].level)
 	}
 	return learnt, btLevel
 }
@@ -466,10 +519,11 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // literals are all already seen).
 func (s *Solver) redundant(l Lit) bool {
 	r := s.info[l.Var()].reason
-	if r == nil {
+	if r == noReason {
 		return false
 	}
-	for _, q := range r.lits {
+	for _, w := range s.lits(r) {
+		q := Lit(w)
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -491,11 +545,12 @@ func (s *Solver) bumpVar(v Var) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e20 {
 		for _, l := range s.learnts {
-			l.act *= 1e-20
+			s.setAct(l, s.act(l)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -509,7 +564,7 @@ func (s *Solver) backtrackTo(level int) {
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
 		s.assign[v] = lUndef
-		s.info[v] = varInfo{}
+		s.info[v] = varInfo{reason: noReason}
 		s.order.insert(v)
 	}
 	s.trail = s.trail[:bound]
@@ -569,7 +624,7 @@ func (s *Solver) reduceDB() {
 func (s *Solver) medianActivity() float64 {
 	acts := s.medianBuf[:0]
 	for _, c := range s.learnts {
-		acts = append(acts, c.act)
+		acts = append(acts, s.act(c))
 	}
 	s.medianBuf = acts[:0]
 	return quickMedian(acts)
@@ -580,7 +635,7 @@ func (s *Solver) medianActivity() float64 {
 func (s *Solver) dropBelow(med float64) {
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if len(c.lits) == 2 || c.act >= med || s.locked(c) {
+		if s.arena[c]>>1 == 2 || s.act(c) >= med || s.locked(c) {
 			kept = append(kept, c)
 			continue
 		}
@@ -615,8 +670,9 @@ func (s *Solver) TrimLearnts(target int) {
 	}
 }
 
-func (s *Solver) locked(c *clause) bool {
-	return s.value(c.lits[0]) == lTrue && s.info[c.lits[0].Var()].reason == c
+func (s *Solver) locked(c cref) bool {
+	first := Lit(s.lits(c)[0])
+	return s.value(first) == lTrue && s.info[first.Var()].reason == c
 }
 
 // quickMedian selects the median in place by partial quickselect,
@@ -734,7 +790,7 @@ func (s *Solver) search(assumptions []Lit, budget, conflictsAtStart, checkEvery 
 	var conflicts int64
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noReason {
 			s.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -762,7 +818,7 @@ func (s *Solver) search(assumptions []Lit, budget, conflictsAtStart, checkEvery 
 					return Unsat
 				}
 				if s.value(learnt[0]) == lUndef {
-					s.uncheckedEnqueue(learnt[0], nil)
+					s.uncheckedEnqueue(learnt[0], noReason)
 				}
 			} else {
 				c := s.newClause(learnt, true)
@@ -800,7 +856,7 @@ func (s *Solver) search(assumptions []Lit, budget, conflictsAtStart, checkEvery 
 			}
 			s.newDecisionLevel()
 			s.numAssumed = s.decisionLevel()
-			s.uncheckedEnqueue(a, nil)
+			s.uncheckedEnqueue(a, noReason)
 			continue
 		}
 		next := s.pickBranchLit()
@@ -810,19 +866,19 @@ func (s *Solver) search(assumptions []Lit, budget, conflictsAtStart, checkEvery 
 			return Sat
 		}
 		s.newDecisionLevel()
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, noReason)
 	}
 }
 
 // analyzeFinal computes the subset of assumptions responsible for a
 // conflict while all decisions are assumptions.
-func (s *Solver) analyzeFinal(confl *clause, assumptions []Lit) {
+func (s *Solver) analyzeFinal(confl cref, assumptions []Lit) {
 	isAssumption := make(map[Lit]bool, len(assumptions))
 	for _, a := range assumptions {
 		isAssumption[a] = true
 	}
 	core := map[Lit]bool{}
-	var mark func(c *clause)
+	var mark func(c cref)
 	seen := make([]bool, s.nVars)
 	var stack []Var
 	push := func(l Lit) {
@@ -832,9 +888,9 @@ func (s *Solver) analyzeFinal(confl *clause, assumptions []Lit) {
 			stack = append(stack, v)
 		}
 	}
-	mark = func(c *clause) {
-		for _, q := range c.lits {
-			push(q)
+	mark = func(c cref) {
+		for _, q := range s.lits(c) {
+			push(Lit(q))
 		}
 	}
 	mark(confl)
@@ -842,7 +898,7 @@ func (s *Solver) analyzeFinal(confl *clause, assumptions []Lit) {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		r := s.info[v].reason
-		if r == nil {
+		if r == noReason {
 			// Decision (assumption) variable.
 			for _, a := range assumptions {
 				if a.Var() == v {
@@ -867,7 +923,7 @@ func (s *Solver) finalFromAssumption(a Lit, assumptions []Lit) {
 	// The negation of a was derived; walk its implication graph.
 	s.conflCore = s.conflCore[:0]
 	v := a.Var()
-	if s.info[v].reason == nil {
+	if s.info[v].reason == noReason {
 		// a conflicts with an earlier assumption directly.
 		s.conflCore = append(s.conflCore, a)
 		for _, b := range assumptions {
@@ -885,7 +941,7 @@ func (s *Solver) finalFromAssumption(a Lit, assumptions []Lit) {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		r := s.info[u].reason
-		if r == nil {
+		if r == noReason {
 			for _, b := range assumptions {
 				if b.Var() == u {
 					core[b] = true
@@ -893,8 +949,8 @@ func (s *Solver) finalFromAssumption(a Lit, assumptions []Lit) {
 			}
 			continue
 		}
-		for _, q := range r.lits {
-			w := q.Var()
+		for _, q := range s.lits(r) {
+			w := Lit(q).Var()
 			if !seen[w] && s.info[w].level > 0 {
 				seen[w] = true
 				stack = append(stack, w)
