@@ -635,7 +635,7 @@ func (s *Solver) medianActivity() float64 {
 func (s *Solver) dropBelow(med float64) {
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if s.arena[c]>>1 == 2 || s.act(c) >= med || s.locked(c) {
+		if len(s.lits(c)) == 2 || s.act(c) >= med || s.locked(c) {
 			kept = append(kept, c)
 			continue
 		}

@@ -98,29 +98,7 @@ func TestDuplicateLiteralsCollapsed(t *testing.T) {
 // unsat family: n+1 pigeons in n holes.
 func TestPigeonhole(t *testing.T) {
 	for n := 2; n <= 6; n++ {
-		s := New()
-		// p[i][j]: pigeon i in hole j.
-		p := make([][]Var, n+1)
-		for i := range p {
-			p[i] = make([]Var, n)
-			for j := range p[i] {
-				p[i][j] = s.NewVar()
-			}
-		}
-		for i := 0; i <= n; i++ {
-			cl := make([]Lit, n)
-			for j := 0; j < n; j++ {
-				cl[j] = NewLit(p[i][j], false)
-			}
-			s.AddClause(cl...)
-		}
-		for j := 0; j < n; j++ {
-			for i := 0; i <= n; i++ {
-				for k := i + 1; k <= n; k++ {
-					s.AddClause(NewLit(p[i][j], true), NewLit(p[k][j], true))
-				}
-			}
-		}
+		s := pigeonhole(n)
 		if got := s.Solve(); got != Unsat {
 			t.Fatalf("PHP(%d): got %v, want unsat", n, got)
 		}
@@ -646,29 +624,7 @@ func TestSolveAssumingRetainsLearnts(t *testing.T) {
 
 func BenchmarkSolvePigeonhole6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := New()
-		n := 6
-		p := make([][]Var, n+1)
-		for i := range p {
-			p[i] = make([]Var, n)
-			for j := range p[i] {
-				p[i][j] = s.NewVar()
-			}
-		}
-		for i := 0; i <= n; i++ {
-			cl := make([]Lit, n)
-			for j := 0; j < n; j++ {
-				cl[j] = NewLit(p[i][j], false)
-			}
-			s.AddClause(cl...)
-		}
-		for j := 0; j < n; j++ {
-			for i := 0; i <= n; i++ {
-				for k := i + 1; k <= n; k++ {
-					s.AddClause(NewLit(p[i][j], true), NewLit(p[k][j], true))
-				}
-			}
-		}
+		s := pigeonhole(6)
 		if s.Solve() != Unsat {
 			b.Fatal("wrong verdict")
 		}
