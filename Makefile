@@ -86,9 +86,12 @@ cache-identity:
 # sweep, incremental-vs-scratch, SSA chain-heavy, SCCP branch-heavy,
 # and warm result-cache benchmarks (speedup-vs-serial,
 # rewrite-hit-rate, queries-per-blast, blast-reduction,
-# sccp-folded-branches, hoisted-ub-terms, and warm-hit-rate metrics).
+# sccp-folded-branches, hoisted-ub-terms, and warm-hit-rate metrics),
+# then one iteration of every SAT core benchmark, the Sat-heavy
+# incremental one included.
 bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkFig16Kerberos|BenchmarkSweepParallel|BenchmarkIncrementalVsScratch|BenchmarkSSAChainHeavy|BenchmarkSCCPBranchHeavy|BenchmarkWarmSweep' -benchtime=1x
+	$(GO) test ./internal/sat -run NONE -bench . -benchtime=1x
 
 # Full paper-figure regeneration (see EXPERIMENTS.md).
 bench:
@@ -110,7 +113,8 @@ bench-gate:
 # pattern per invocation). Seed corpora live under testdata/fuzz and
 # are also replayed by plain `make test`. FuzzSolveAssuming checks the
 # incremental SAT core (verdicts, models, failed assumptions and the
-# clause arena) against brute force. The last four are the SSA
+# clause arena) against brute force, and FuzzVarHeap checks the VSIDS
+# heap's layout against the swap-based reference heap. The last four are the SSA
 # differential oracles: end-to-end byte identity of checker output
 # keyed on SSASharpened, plus per-pass execution equivalence for SCCP,
 # loop-invariant UB hoisting, and cross-block GVN.
@@ -120,6 +124,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bv -run '^$$' -fuzz '^FuzzTermConstruction$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolveAssuming$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzVarHeap$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSSADifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzSCCPDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzHoistDifferential$$' -fuzztime $(FUZZTIME)

@@ -64,9 +64,12 @@ func TestVariableLimit(t *testing.T) {
 	mustPanic(t, "sat: variable limit", func() { s.NewVar() })
 }
 
-// TestArenaLimit: a clause that would make the arena reach noReason is
-// refused, since crefs and literal offsets are 32-bit.
+// TestArenaLimit: a clause that would take the arena past maxArena
+// words is refused, since a cref must stay clear of binFlag.
 func TestArenaLimit(t *testing.T) {
-	checkArena(int(noReason)-3, 3) // fills the arena exactly: allowed
-	mustPanic(t, "sat: clause arena limit", func() { checkArena(int(noReason)-3, 4) })
+	checkArena(maxArena-3, 3) // fills the arena exactly: allowed
+	mustPanic(t, "sat: clause arena limit", func() { checkArena(maxArena-3, 4) })
+	if cref(maxArena-3)&binFlag != 0 {
+		t.Fatal("the last cref the arena allows collides with binFlag")
+	}
 }

@@ -3,54 +3,71 @@ package sat
 // varHeap is a max-heap of variables ordered by activity, with an
 // index map for decrease/increase-key. It implements the VSIDS
 // decision order.
+//
+// Sifting moves a hole rather than swapping, and reads the activity
+// slice once per operation. Its comparisons are strict and made in a
+// fixed order, so among equal activities the layout, and with it the
+// decision order, is a function of the operation sequence alone: the
+// tie rule is part of the search.
 type varHeap struct {
 	act   *[]float64
-	heap  []Var
-	index []int // var -> position in heap, -1 if absent
+	heap  []int32 // variables, heap-ordered
+	index []int32 // var -> position in heap, -1 if absent
 }
 
 func newVarHeap(act *[]float64) *varHeap {
 	return &varHeap{act: act}
 }
 
-func (h *varHeap) less(i, j int) bool {
-	return (*h.act)[h.heap[i]] > (*h.act)[h.heap[j]]
-}
-
-func (h *varHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.index[h.heap[i]] = i
-	h.index[h.heap[j]] = j
-}
-
+// up moves the variable at position i toward the root while its
+// activity is strictly greater than its parent's.
 func (h *varHeap) up(i int) {
+	act, heap := *h.act, h.heap
+	v := heap[i]
+	a := act[v]
 	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
+		p := (i - 1) >> 1
+		pv := heap[p]
+		if !(a > act[pv]) {
 			break
 		}
-		h.swap(i, p)
+		heap[i] = pv
+		h.index[pv] = int32(i)
 		i = p
 	}
+	heap[i] = v
+	h.index[v] = int32(i)
 }
 
+// down moves the variable at position i toward the leaves. Each step
+// takes the more active child, the left one on a tie, while that child
+// is strictly more active than the variable.
 func (h *varHeap) down(i int) {
-	n := len(h.heap)
+	act, heap := *h.act, h.heap
+	n := len(heap)
+	v := heap[i]
+	a := act[v]
 	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.less(l, best) {
-			best = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(r, best) {
-			best = r
+		cv := heap[c]
+		ca := act[cv]
+		if r := c + 1; r < n {
+			if ra := act[heap[r]]; ra > ca {
+				c, cv, ca = r, heap[r], ra
+			}
 		}
-		if best == i {
-			return
+		if !(ca > a) {
+			break
 		}
-		h.swap(i, best)
-		i = best
+		heap[i] = cv
+		h.index[cv] = int32(i)
+		i = c
 	}
+	heap[i] = v
+	h.index[v] = int32(i)
 }
 
 // insert adds v to the heap if absent.
@@ -61,15 +78,14 @@ func (h *varHeap) insert(v Var) {
 	if h.index[v] >= 0 {
 		return
 	}
-	h.heap = append(h.heap, v)
-	h.index[v] = len(h.heap) - 1
+	h.heap = append(h.heap, int32(v))
 	h.up(len(h.heap) - 1)
 }
 
 // update restores heap order after v's activity increased.
 func (h *varHeap) update(v Var) {
 	if int(v) < len(h.index) && h.index[v] >= 0 {
-		h.up(h.index[v])
+		h.up(int(h.index[v]))
 	}
 }
 
@@ -80,13 +96,11 @@ func (h *varHeap) removeMax() (Var, bool) {
 	}
 	v := h.heap[0]
 	last := len(h.heap) - 1
-	h.swap(0, last)
+	h.heap[0] = h.heap[last]
 	h.heap = h.heap[:last]
 	h.index[v] = -1
 	if last > 0 {
 		h.down(0)
 	}
-	return v, true
+	return Var(v), true
 }
-
-func (h *varHeap) empty() bool { return len(h.heap) == 0 }

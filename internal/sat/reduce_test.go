@@ -35,6 +35,8 @@ func litsOf(s *Solver, c cref) []Lit {
 //   - every live clause is watched exactly once on each of its first two
 //     literals, with a blocker taken from the clause, and no watcher
 //     references a detached clause;
+//   - a watcher's cref carries binFlag exactly when its clause has two
+//     literals, and then its blocker is the clause's other literal;
 //   - a var's reason is noReason or a live clause whose first literal is
 //     the var's current assignment.
 func arenaConsistent(t *testing.T, s *Solver) {
@@ -75,12 +77,19 @@ func arenaConsistent(t *testing.T, s *Solver) {
 	counts := map[watch]int{}
 	for l := range s.watches {
 		for _, w := range s.watches[l] {
-			if !live[w.c] {
+			c := w.c &^ binFlag
+			if !live[c] {
 				t.Fatalf("watch list for lit %d references cref %d, which is not a live clause", l, w.c)
 			}
-			lits := litsOf(s, w.c)
+			lits := litsOf(s, c)
 			if lits[0].Not() != Lit(l) && lits[1].Not() != Lit(l) {
 				t.Fatalf("clause %v watched on %d, which is neither of its first two literals", lits, l)
+			}
+			if binary := len(lits) == 2; (w.c&binFlag != 0) != binary {
+				t.Fatalf("clause %v watched with cref %#x: binFlag set=%v, want %v", lits, w.c, w.c&binFlag != 0, binary)
+			}
+			if other := lits[0] ^ lits[1] ^ Lit(l).Not(); w.c&binFlag != 0 && Lit(w.blocker) != other {
+				t.Fatalf("binary clause %v watched on %d with blocker %d, want the other literal %d", lits, l, w.blocker, other)
 			}
 			hasBlocker := false
 			for _, q := range lits {
@@ -89,7 +98,7 @@ func arenaConsistent(t *testing.T, s *Solver) {
 			if !hasBlocker {
 				t.Fatalf("clause %v watched with blocker %d, which is not one of its literals", lits, w.blocker)
 			}
-			counts[watch{w.c, Lit(l).Not()}]++
+			counts[watch{c, Lit(l).Not()}]++
 		}
 	}
 	for c := range live {

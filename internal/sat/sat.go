@@ -24,6 +24,28 @@
 // arena as garbage until the solver is dropped. The arena grows by
 // append, which may move it: no slice of the arena (such as the one
 // lits returns) may be held across a call to newClause.
+//
+// # Per-assignment costs
+//
+// Most queries from the bit-vector layer are satisfiable, so a call
+// usually assigns every variable and its cost is per assignment more
+// than per conflict. Three choices keep that cost down without
+// changing the search:
+//
+//   - The VSIDS heap sifts a hole instead of swapping. Its tie rule
+//     (strict comparisons in a fixed order) is part of the search:
+//     which of two equally active variables is decided first follows
+//     from it, so it must not change without new evidence on verdicts.
+//   - Values are kept per literal, so reading one is a single load.
+//   - A watcher of a two-literal clause carries binFlag (bit 31) in its
+//     cref, and its blocker is always the clause's other literal, so
+//     propagate implies or reports a conflict from the watcher alone.
+//     It still writes the clause's two literals in the order the
+//     general path would leave them, so the arena holds the same words
+//     as if every clause took the general path.
+//
+// binFlag must stay clear of every clause offset, so the arena holds
+// at most 2^31 words (8 GiB of clauses); newClause panics past that.
 package sat
 
 import (
@@ -89,16 +111,6 @@ const (
 	lFalse
 )
 
-func (b lbool) neg() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
-
 // cref names a clause by the arena offset of its header word.
 type cref uint32
 
@@ -106,6 +118,14 @@ type cref uint32
 // assumptions and units, and propagate's "no conflict". The arena
 // never grows far enough for a clause to start there.
 const noReason cref = math.MaxUint32
+
+// binFlag marks the cref in a watcher of a two-literal clause, whose
+// blocker is always the clause's other literal. The arena holds at
+// most maxArena words, so no clause offset has this bit set.
+const binFlag cref = 1 << 31
+
+// maxArena is the most words the clause arena may hold.
+const maxArena = 1 << 31
 
 // maxVars bounds the variable count: literals are stored in 32-bit
 // arena words, so var<<1 | sign must fit in a uint32.
@@ -129,7 +149,7 @@ type Solver struct {
 	clauses      []cref
 	learnts      []cref
 	watches      [][]watcher // indexed by Lit
-	assign       []lbool     // indexed by Var
+	vals         []lbool     // indexed by Lit
 	info         []varInfo   // indexed by Var
 	trail        []Lit
 	trailLim     []int // decision-level boundaries in trail
@@ -139,10 +159,10 @@ type Solver struct {
 	claInc       float64
 	order        *varHeap
 	seen         []bool
-	model        []lbool
-	conflCore    []Lit // failed assumptions after Unsat under assumptions
-	ok           bool  // false once the clause DB is unsat at level 0
-	numAssumed   int   // decision levels occupied by assumptions
+	model        []lbool // a snapshot of vals
+	conflCore    []Lit   // failed assumptions after Unsat under assumptions
+	ok           bool    // false once the clause DB is unsat at level 0
+	numAssumed   int     // decision levels occupied by assumptions
 	Propagations int64
 	Conflicts    int64
 	Decisions    int64
@@ -206,10 +226,10 @@ func (s *Solver) newClause(lits []Lit, learned bool) cref {
 }
 
 // checkArena panics if a clause of the given number of words, appended
-// to an arena of used words, would reach noReason: past that, crefs and
-// literal offsets no longer fit in 32 bits.
+// to an arena of used words, would take it past maxArena words: past
+// that, a cref would collide with binFlag.
 func checkArena(used, words int) {
-	if used+words > int(noReason) {
+	if used+words > maxArena {
 		panic("sat: clause arena limit")
 	}
 }
@@ -253,7 +273,7 @@ func (s *Solver) NewVar() Var {
 	v := Var(s.nVars)
 	s.nVars++
 	s.watches = append(s.watches, nil, nil)
-	s.assign = append(s.assign, lUndef)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.info = append(s.info, varInfo{reason: noReason})
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
@@ -274,13 +294,7 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 // that reuse is actually happening.
 func (s *Solver) NumLearnts() int { return len(s.learnts) }
 
-func (s *Solver) value(l Lit) lbool {
-	v := s.assign[l.Var()]
-	if l.Neg() {
-		return v.neg()
-	}
-	return v
-}
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
 
 // AddClause adds a clause (a disjunction of literals) to the solver.
 // It returns false if the clause database is already unsatisfiable.
@@ -339,8 +353,12 @@ loop:
 func (s *Solver) attach(c cref) {
 	lits := s.lits(c)
 	l0, l1 := Lit(lits[0]), Lit(lits[1])
-	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{c, lits[1]})
-	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{c, lits[0]})
+	wc := c
+	if len(lits) == 2 {
+		wc |= binFlag
+	}
+	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{wc, lits[1]})
+	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{wc, lits[0]})
 }
 
 func (s *Solver) detach(c cref) {
@@ -352,7 +370,7 @@ func (s *Solver) detach(c cref) {
 func (s *Solver) removeWatch(l Lit, c cref) {
 	ws := s.watches[l]
 	for i := range ws {
-		if ws[i].c == c {
+		if ws[i].c&^binFlag == c {
 			ws[i] = ws[len(ws)-1]
 			s.watches[l] = ws[:len(ws)-1]
 			return
@@ -361,13 +379,8 @@ func (s *Solver) removeWatch(l Lit, c cref) {
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, reason cref) {
-	v := l.Var()
-	if l.Neg() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
-	s.info[v] = varInfo{reason: reason, level: int32(s.decisionLevel())}
+	s.vals[l], s.vals[l^1] = lTrue, lFalse
+	s.info[l.Var()] = varInfo{reason: reason, level: int32(s.decisionLevel())}
 	s.trail = append(s.trail, l)
 }
 
@@ -376,7 +389,10 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 func (s *Solver) newDecisionLevel() { s.trailLim = append(s.trailLim, len(s.trail)) }
 
 // propagate performs unit propagation; it returns a conflicting clause
-// or noReason.
+// or noReason. A binary watcher is decided from the watcher alone; it
+// stores the clause's literals in the order the general path would
+// leave them (the implied or conflicting literal first, then the false
+// one), so the arena, and every reader of it, sees the same clause.
 func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
@@ -392,8 +408,23 @@ func (s *Solver) propagate() cref {
 				kept = append(kept, w)
 				continue
 			}
-			if s.value(Lit(w.blocker)) == lTrue {
+			b := Lit(w.blocker)
+			bv := s.vals[b]
+			if bv == lTrue {
 				kept = append(kept, w)
+				continue
+			}
+			if w.c&binFlag != 0 {
+				kept = append(kept, w)
+				c := w.c &^ binFlag
+				off := c + 1 + cref(s.arena[c]&1)<<1
+				s.arena[off], s.arena[off+1] = w.blocker, falseLit
+				if bv == lFalse {
+					confl = c
+					s.qhead = len(s.trail)
+					continue
+				}
+				s.uncheckedEnqueue(b, c)
 				continue
 			}
 			c := w.c
@@ -562,8 +593,9 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.assign[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.vals[l], s.vals[l^1] = lUndef, lUndef
 		s.info[v] = varInfo{reason: noReason}
 		s.order.insert(v)
 	}
@@ -578,7 +610,7 @@ func (s *Solver) pickBranchLit() Lit {
 		if !ok {
 			return -1
 		}
-		if s.assign[v] == lUndef {
+		if s.vals[2*v] == lUndef {
 			s.Decisions++
 			// Negative-polarity default works well for bit-blasted
 			// circuits (most signals are 0 in minimal models).
@@ -734,21 +766,21 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 	s.Solves++
 	if !s.ok {
-		s.conflCore = nil
+		s.conflCore = s.conflCore[:0]
 		return Unsat
 	}
 	if s.interrupted() {
 		// Already cancelled: give up before touching the trail, so a
 		// caller draining a cancelled request pays one cheap check per
 		// query instead of a search restart.
-		s.conflCore = nil
+		s.conflCore = s.conflCore[:0]
 		return Unknown
 	}
 	defer func() {
 		s.backtrackTo(0)
 		s.numAssumed = 0
 	}()
-	s.conflCore = nil
+	s.conflCore = s.conflCore[:0]
 	s.numAssumed = 0
 	var restarts int64
 	conflictsAtStart := s.Conflicts
@@ -862,7 +894,7 @@ func (s *Solver) search(assumptions []Lit, budget, conflictsAtStart, checkEvery 
 		next := s.pickBranchLit()
 		if next == -1 {
 			// All variables assigned: model found.
-			s.model = append(s.model[:0], s.assign...)
+			s.model = append(s.model[:0], s.vals...)
 			return Sat
 		}
 		s.newDecisionLevel()
@@ -873,59 +905,17 @@ func (s *Solver) search(assumptions []Lit, budget, conflictsAtStart, checkEvery 
 // analyzeFinal computes the subset of assumptions responsible for a
 // conflict while all decisions are assumptions.
 func (s *Solver) analyzeFinal(confl cref, assumptions []Lit) {
-	isAssumption := make(map[Lit]bool, len(assumptions))
-	for _, a := range assumptions {
-		isAssumption[a] = true
-	}
-	core := map[Lit]bool{}
-	var mark func(c cref)
-	seen := make([]bool, s.nVars)
-	var stack []Var
-	push := func(l Lit) {
-		v := l.Var()
-		if !seen[v] && s.info[v].level > 0 {
-			seen[v] = true
-			stack = append(stack, v)
-		}
-	}
-	mark = func(c cref) {
-		for _, q := range s.lits(c) {
-			push(Lit(q))
-		}
-	}
-	mark(confl)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		r := s.info[v].reason
-		if r == noReason {
-			// Decision (assumption) variable.
-			for _, a := range assumptions {
-				if a.Var() == v {
-					core[a] = true
-				}
-			}
-			continue
-		}
-		mark(r)
-	}
-	s.conflCore = s.conflCore[:0]
-	for _, a := range assumptions {
-		if core[a] {
-			s.conflCore = append(s.conflCore, a)
-		}
-	}
+	s.failedCore(s.markLits(confl, s.touchedBuf[:0]), assumptions, -1)
 }
 
 // finalFromAssumption handles the case where an assumption is already
 // false when it is about to be decided.
 func (s *Solver) finalFromAssumption(a Lit, assumptions []Lit) {
 	// The negation of a was derived; walk its implication graph.
-	s.conflCore = s.conflCore[:0]
 	v := a.Var()
 	if s.info[v].reason == noReason {
 		// a conflicts with an earlier assumption directly.
-		s.conflCore = append(s.conflCore, a)
+		s.conflCore = append(s.conflCore[:0], a)
 		for _, b := range assumptions {
 			if b == a.Not() {
 				s.conflCore = append(s.conflCore, b)
@@ -933,35 +923,44 @@ func (s *Solver) finalFromAssumption(a Lit, assumptions []Lit) {
 		}
 		return
 	}
-	seen := make([]bool, s.nVars)
-	stack := []Var{v}
-	seen[v] = true
-	core := map[Lit]bool{a: true}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		r := s.info[u].reason
-		if r == noReason {
-			for _, b := range assumptions {
-				if b.Var() == u {
-					core[b] = true
-				}
-			}
-			continue
-		}
-		for _, q := range s.lits(r) {
-			w := Lit(q).Var()
-			if !seen[w] && s.info[w].level > 0 {
-				seen[w] = true
-				stack = append(stack, w)
-			}
+	s.seen[v] = true
+	s.failedCore(append(s.touchedBuf[:0], v), assumptions, a)
+}
+
+// markLits sets the seen flag of every variable of c above level 0
+// not yet seen, and appends it to touched.
+func (s *Solver) markLits(c cref, touched []Var) []Var {
+	for _, q := range s.lits(c) {
+		v := Lit(q).Var()
+		if !s.seen[v] && s.info[v].level > 0 {
+			s.seen[v] = true
+			touched = append(touched, v)
 		}
 	}
+	return touched
+}
+
+// failedCore extends touched, whose variables are all seen, to every
+// variable they were implied from. It sets conflCore to the assumptions
+// that are keep or whose variable it reached as a decision, in
+// assumption order, and clears the seen flags again.
+func (s *Solver) failedCore(touched []Var, assumptions []Lit, keep Lit) {
+	for i := 0; i < len(touched); i++ {
+		if r := s.info[touched[i]].reason; r != noReason {
+			touched = s.markLits(r, touched)
+		}
+	}
+	s.conflCore = s.conflCore[:0]
 	for _, b := range assumptions {
-		if core[b] {
+		u := b.Var()
+		if b == keep || s.seen[u] && s.info[u].reason == noReason {
 			s.conflCore = append(s.conflCore, b)
 		}
 	}
+	for _, u := range touched {
+		s.seen[u] = false
+	}
+	s.touchedBuf = touched
 }
 
 // ModelValue returns the value of v in the most recent satisfying
@@ -970,7 +969,7 @@ func (s *Solver) finalFromAssumption(a Lit, assumptions []Lit) {
 // constrained by it and report false (an arbitrary don't-care
 // completion).
 func (s *Solver) ModelValue(v Var) bool {
-	return int(v) < len(s.model) && s.model[v] == lTrue
+	return 2*int(v) < len(s.model) && s.model[2*v] == lTrue
 }
 
 // FailedAssumptions returns, after Solve returned Unsat under

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -197,6 +198,41 @@ func TestFailedAssumptionsSubset(t *testing.T) {
 	}
 	if len(fa) == 0 || len(fa) > 2 {
 		t.Fatalf("failed assumptions should be {a,b}-subset, got %d lits", len(fa))
+	}
+}
+
+// TestFailedAssumptionsAllocFree: once its buffers have grown, the
+// solver answers Unsat under assumptions without allocating, both when
+// the assumptions conflict during propagation (analyzeFinal) and when
+// one is already false as it is decided (finalFromAssumption).
+func TestFailedAssumptionsAllocFree(t *testing.T) {
+	s := New()
+	v := lits(s, 4)
+	a, b, x, y := v[0], v[1], v[2], v[3]
+	s.AddClause(a.Not(), x)
+	s.AddClause(b.Not(), x.Not())
+	for _, tc := range []struct {
+		assume []Lit
+		want   string
+	}{
+		{[]Lit{y, a, b}, fmt.Sprint([]Lit{a, b})},
+		{[]Lit{a, y, x.Not()}, fmt.Sprint([]Lit{a, x.Not()})},
+	} {
+		s.SolveAssuming(tc.assume...) // grow the buffers
+		allocs := testing.AllocsPerRun(20, func() {
+			if st := s.SolveAssuming(tc.assume...); st != Unsat {
+				t.Fatalf("under %v: %v, want unsat", tc.assume, st)
+			}
+		})
+		if got := fmt.Sprint(s.FailedAssumptions()); got != tc.want {
+			t.Errorf("under %v: failed assumptions %s, want %s", tc.assume, got, tc.want)
+		}
+		if allocs != 0 {
+			t.Errorf("under %v: %v allocations per call, want 0", tc.assume, allocs)
+		}
+		if s.NumLearnts() != 0 {
+			t.Fatalf("under %v: the query learnt clauses, so it does not isolate the final analysis", tc.assume)
+		}
 	}
 }
 
@@ -650,4 +686,67 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 		}
 		s.Solve()
 	}
+}
+
+// satHeavyCircuits builds one solver holding n random Tseitin circuits
+// of AND and XOR gates, each guarded by an activation literal that
+// asserts its output. The output is XORed with an input used nowhere
+// else, so every activation set is satisfiable. It returns the solver
+// and the activation literals.
+func satHeavyCircuits(n, inputs, gates int, seed int64) (*Solver, []Lit) {
+	rng := rand.New(rand.NewSource(seed))
+	s := New()
+	acts := make([]Lit, n)
+	for k := range acts {
+		sig := lits(s, inputs)
+		for i := 0; i < gates; i++ {
+			a, b := sig[rng.Intn(len(sig))], sig[rng.Intn(len(sig))]
+			if rng.Intn(2) == 0 {
+				a = a.Not()
+			}
+			g := NewLit(s.NewVar(), false)
+			if rng.Intn(2) == 0 { // g = a ∧ b
+				s.AddClause(g.Not(), a)
+				s.AddClause(g.Not(), b)
+				s.AddClause(g, a.Not(), b.Not())
+			} else { // g = a ⊕ b
+				s.AddClause(g.Not(), a, b)
+				s.AddClause(g.Not(), a.Not(), b.Not())
+				s.AddClause(g, a.Not(), b)
+				s.AddClause(g, a, b.Not())
+			}
+			sig = append(sig, g)
+		}
+		free, out := NewLit(s.NewVar(), false), NewLit(s.NewVar(), false)
+		last := sig[len(sig)-1]
+		s.AddClause(out.Not(), last, free)
+		s.AddClause(out.Not(), last.Not(), free.Not())
+		s.AddClause(out, last.Not(), free)
+		s.AddClause(out, last, free.Not())
+		acts[k] = NewLit(s.NewVar(), false)
+		s.AddClause(acts[k].Not(), out)
+	}
+	return s, acts
+}
+
+// BenchmarkSolveAssumingSatHeavy is the regime the checker's queries
+// mostly fall in: an incremental solver answering Sat again and again
+// under changing activation literals, so every call assigns every
+// variable and its cost is per assignment (decisions, propagation,
+// heap traffic), not per conflict.
+func BenchmarkSolveAssumingSatHeavy(b *testing.B) {
+	const circuits = 48
+	s, acts := satHeavyCircuits(circuits, 16, 96, 1)
+	queries := make([][]Lit, circuits)
+	for q := range queries {
+		queries[q] = []Lit{acts[q], acts[(q+5)%circuits], acts[(q+17)%circuits]}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := s.SolveAssuming(queries[i%circuits]...); st != Sat {
+			b.Fatalf("query %d: %v, want sat", i, st)
+		}
+	}
+	b.ReportMetric(float64(s.NumVars()), "vars")
 }
