@@ -111,7 +111,9 @@ bench-gate:
 
 # Run each native fuzz target briefly (go test allows one -fuzz
 # pattern per invocation). Seed corpora live under testdata/fuzz and
-# are also replayed by plain `make test`. FuzzSolveAssuming checks the
+# are also replayed by plain `make test`. FuzzEvalMatchesBlast checks
+# the concrete term evaluator against blast-then-solve with the inputs
+# fixed, at widths on both sides of 64 bits. FuzzSolveAssuming checks the
 # incremental SAT core (verdicts, models, failed assumptions and the
 # clause arena) against brute force, and FuzzVarHeap checks the VSIDS
 # heap's layout against the swap-based reference heap. The last four are the SSA
@@ -123,6 +125,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bv -run '^$$' -fuzz '^FuzzTermConstruction$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bv -run '^$$' -fuzz '^FuzzEvalMatchesBlast$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolveAssuming$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzVarHeap$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSSADifferential$$' -fuzztime $(FUZZTIME)

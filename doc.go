@@ -81,15 +81,12 @@
 // dominating blocks, without moving any report position; dead-store
 // elimination drops stores overwritten before any load or call; and
 // loop-invariant UB hoisting lifts UB-carrying computations out of
-// natural loops into the preheader. On acyclic CFGs the checker
-// additionally runs elimination dominator-ordered: a satisfiable
-// block's verdict forces its dominators' query outcomes, so their
-// solver calls are skipped outright. Promoted values are immutable,
+// natural loops into the preheader. Promoted values are immutable,
 // so the bit-vector layer hash-conses duplicated computation chains
 // instead of re-blasting them per opaque load — Stats gains
 // promotedAllocas, eliminatedStores, gvnHits, sccpFoldedValues,
 // sccpFoldedBranches, sccpUnreachableBlocks, crossBlockGvnHits,
-// hoistedUbTerms, domOrderedSkips, and ssaSharpened (omitted from the
+// hoistedUbTerms, and ssaSharpened (omitted from the
 // JSON trailer when zero, keeping legacy bytes unchanged). The default
 // is differentially gated: sweep output with SSA on is byte-identical
 // to the legacy pipeline on the archive corpus (raced across worker

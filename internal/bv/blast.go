@@ -17,9 +17,18 @@ type blaster struct {
 	// queries issued and terms blasted is what incremental sessions
 	// amortize.
 	blasts int64
+	// inputs lists the variables lowered so far, in blast order, each
+	// with its literal vector: the assignment a SAT model gives them is
+	// what Session stores as a witness.
+	inputs []input
 	// Constant literals: litTrue is a variable forced true.
 	litTrue  sat.Lit
 	litFalse sat.Lit
+}
+
+type input struct {
+	v    *Term
+	lits []sat.Lit
 }
 
 func newBlaster(s *sat.Solver) *blaster {
@@ -309,6 +318,7 @@ func (b *blaster) blast(bld *Builder, t *Term) []sat.Lit {
 		for i := range out {
 			out[i] = b.fresh()
 		}
+		b.inputs = append(b.inputs, input{t, out})
 	case OpNot:
 		x := b.blast(bld, t.args[0])
 		out = make([]sat.Lit, len(x))

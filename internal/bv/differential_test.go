@@ -8,10 +8,10 @@ package bv
 // query. The reference path exercises none of the optimizations, so
 // any divergence in verdicts localizes a soundness bug in the rewrite
 // engine, the fast paths, or the incremental session machinery.
-// Sat models from every path are validated against the concrete
-// reference evaluator (evalTerm, rewrite_test.go) on the *unrewritten*
-// tree, and small Unsat verdicts are confirmed by exhaustive
-// enumeration.
+// Sat models from every path — including the stored assignments an
+// incremental session answers from without search — are validated
+// against the concrete evaluator (eval.go) on the *unrewritten* tree,
+// and small Unsat verdicts are confirmed by exhaustive enumeration.
 
 import (
 	"fmt"
@@ -231,6 +231,7 @@ func TestDifferentialSolverStack(t *testing.T) {
 	sessScr := NewSession(full)
 	sessScr.Scratch = true
 	var blastsInc, blastsScr, fastInc int64
+	witnessedModels := 0 // incremental Sat models that came from the ring
 
 	// The reference: no rewrites, fresh solver per query.
 	ref := NewBuilder()
@@ -285,6 +286,9 @@ func TestDifferentialSolverStack(t *testing.T) {
 				if evalTerm(tRef, env).Sign() == 0 {
 					t.Fatalf("case %d: %s model %v falsifies reference tree %s", i, name, env, tRef)
 				}
+				if sess.witnessed {
+					witnessedModels++
+				}
 			}
 		case Unsat:
 			totalBits := 0
@@ -316,6 +320,10 @@ func TestDifferentialSolverStack(t *testing.T) {
 	if fastInc == 0 {
 		t.Error("random queries never hit the constant fast path")
 	}
+	if witnessedModels == 0 {
+		t.Error("no incremental Sat was answered from a stored assignment; the witness models went unchecked")
+	}
+	t.Logf("witnessed models checked: %d", witnessedModels)
 	if blastsInc >= blastsScr {
 		t.Errorf("incremental sessions blasted %d terms, scratch %d; reuse not happening",
 			blastsInc, blastsScr)

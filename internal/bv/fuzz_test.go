@@ -30,8 +30,9 @@ func (r *byteReader) next() byte {
 
 var fuzzWidths = []int{1, 4, 8}
 
-// decodeExpr turns fuzz bytes into a width-bit term description.
-func decodeExpr(r *byteReader, width, depth int) *dNode {
+// decodeExpr turns fuzz bytes into a width-bit term description; the
+// operands of comparisons take their width from widths.
+func decodeExpr(r *byteReader, widths []int, width, depth int) *dNode {
 	b := r.next()
 	if depth <= 0 || b < 64 {
 		if b%3 == 0 {
@@ -44,44 +45,44 @@ func decodeExpr(r *byteReader, width, depth int) *dNode {
 	case 0, 1, 2: // binary word op
 		op := genBinOps[int(r.next())%len(genBinOps)]
 		return &dNode{op: op, width: width, kids: []*dNode{
-			decodeExpr(r, width, depth-1), decodeExpr(r, width, depth-1)}}
+			decodeExpr(r, widths, width, depth-1), decodeExpr(r, widths, width, depth-1)}}
 	case 3: // unary
 		op := OpNot
 		if r.next()%2 == 0 {
 			op = OpNeg
 		}
-		return &dNode{op: op, width: width, kids: []*dNode{decodeExpr(r, width, depth-1)}}
+		return &dNode{op: op, width: width, kids: []*dNode{decodeExpr(r, widths, width, depth-1)}}
 	case 4: // comparison (result width 1) or ite
 		if width == 1 {
-			w := fuzzWidths[int(r.next())%len(fuzzWidths)]
+			w := widths[int(r.next())%len(widths)]
 			op := []Op{OpEq, OpULT, OpULE, OpSLT, OpSLE}[int(r.next())%5]
 			return &dNode{op: op, width: 1, kids: []*dNode{
-				decodeExpr(r, w, depth-1), decodeExpr(r, w, depth-1)}}
+				decodeExpr(r, widths, w, depth-1), decodeExpr(r, widths, w, depth-1)}}
 		}
 		return &dNode{op: OpITE, width: width, kids: []*dNode{
-			decodeExpr(r, 1, depth-1), decodeExpr(r, width, depth-1), decodeExpr(r, width, depth-1)}}
+			decodeExpr(r, widths, 1, depth-1), decodeExpr(r, widths, width, depth-1), decodeExpr(r, widths, width, depth-1)}}
 	case 5: // extension
 		if width == 1 {
-			return decodeExpr(r, width, depth-1)
+			return decodeExpr(r, widths, width, depth-1)
 		}
 		op := OpZExt
 		if r.next()%2 == 0 {
 			op = OpSExt
 		}
 		from := 1 + int(r.next())%(width-1)
-		return &dNode{op: op, width: width, kids: []*dNode{decodeExpr(r, from, depth-1)}}
+		return &dNode{op: op, width: width, kids: []*dNode{decodeExpr(r, widths, from, depth-1)}}
 	case 6: // extract
 		extra := 1 + int(r.next())%4
 		lo := int(r.next()) % (extra + 1)
 		return &dNode{op: OpExtract, width: width, hi: lo + width - 1, lo: lo,
-			kids: []*dNode{decodeExpr(r, width+extra, depth-1)}}
+			kids: []*dNode{decodeExpr(r, widths, width+extra, depth-1)}}
 	default: // concat
 		if width == 1 {
-			return decodeExpr(r, width, depth-1)
+			return decodeExpr(r, widths, width, depth-1)
 		}
 		hw := 1 + int(r.next())%(width-1)
 		return &dNode{op: OpConcat, width: width, kids: []*dNode{
-			decodeExpr(r, width-hw, depth-1), decodeExpr(r, hw, depth-1)}}
+			decodeExpr(r, widths, width-hw, depth-1), decodeExpr(r, widths, hw, depth-1)}}
 	}
 }
 
@@ -99,7 +100,7 @@ func FuzzTermConstruction(f *testing.F) {
 		}
 		r := &byteReader{data: data}
 		width := fuzzWidths[int(r.next())%len(fuzzWidths)]
-		tree := decodeExpr(r, width, 4)
+		tree := decodeExpr(r, fuzzWidths, width, 4)
 
 		full := NewBuilder()
 		ref := NewBuilder()

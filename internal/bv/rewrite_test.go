@@ -13,133 +13,41 @@ import (
 	"testing"
 )
 
-// evalTerm is the reference evaluator: concrete SMT-LIB QF_BV
-// semantics over a variable assignment, written independently of the
-// rewrite rules it checks.
+// evalTerm evaluates t under env with the package's concrete
+// evaluator (eval.go), which is written independently of the rewrite
+// rules it checks. A variable env does not bind panics.
 func evalTerm(t *Term, env map[string]*big.Int) *big.Int {
-	w := t.width
-	switch t.op {
-	case OpConst:
-		return new(big.Int).Set(t.val)
-	case OpVar:
-		v, ok := env[t.name]
-		if !ok {
-			panic("evalTerm: unbound variable " + t.name)
-		}
-		return new(big.Int).And(new(big.Int).Set(v), mask(w))
-	case OpNot:
-		return new(big.Int).Xor(evalTerm(t.args[0], env), mask(w))
-	case OpNeg:
-		v := new(big.Int).Neg(evalTerm(t.args[0], env))
-		return v.And(v.Add(v, new(big.Int).Lsh(big.NewInt(1), uint(w))), mask(w))
-	case OpITE:
-		if evalTerm(t.args[0], env).Sign() != 0 {
-			return evalTerm(t.args[1], env)
-		}
-		return evalTerm(t.args[2], env)
-	case OpZExt:
-		return evalTerm(t.args[0], env)
-	case OpSExt:
-		x := t.args[0]
-		return new(big.Int).And(toSigned(evalTerm(x, env), x.width), mask(w))
-	case OpExtract:
-		v := new(big.Int).Rsh(evalTerm(t.args[0], env), uint(t.lo))
-		return v.And(v, mask(w))
-	case OpConcat:
-		hi := evalTerm(t.args[0], env)
-		lo := evalTerm(t.args[1], env)
-		return new(big.Int).Or(new(big.Int).Lsh(hi, uint(t.args[1].width)), lo)
-	}
-	x := evalTerm(t.args[0], env)
-	y := evalTerm(t.args[1], env)
-	return refBinary(t.op, t.args[0].width, x, y)
+	var e evaluator
+	return e.value(t, envInput(env))
 }
 
-// refBinary applies a binary operation concretely at width w. Operands
-// and result are normalized to [0, 2^w); comparison results are 0/1.
+// envInput reads variables by name from env.
+func envInput(env map[string]*big.Int) inputFunc {
+	return func(v *Term) []uint64 {
+		x, ok := env[v.name]
+		if !ok {
+			panic("evalTerm: unbound variable " + v.name)
+		}
+		return toWords(new(big.Int).And(x, mask(v.width)))
+	}
+}
+
+// toWords splits a non-negative x into 64-bit words, least significant
+// first.
+func toWords(x *big.Int) []uint64 {
+	var ws []uint64
+	for x = new(big.Int).Set(x); x.Sign() != 0; x.Rsh(x, 64) {
+		ws = append(ws, new(big.Int).And(x, mask(64)).Uint64())
+	}
+	return ws
+}
+
+// refBinary applies a binary operation concretely at width w with the
+// evaluator's math/big path. Operands and result are normalized to
+// [0, 2^w); comparison results are 0/1.
 func refBinary(op Op, w int, x, y *big.Int) *big.Int {
-	m := mask(w)
-	norm := func(v *big.Int) *big.Int { return v.And(v, m) }
-	fromBool := func(b bool) *big.Int {
-		if b {
-			return big.NewInt(1)
-		}
-		return big.NewInt(0)
-	}
-	switch op {
-	case OpAnd:
-		return new(big.Int).And(x, y)
-	case OpOr:
-		return new(big.Int).Or(x, y)
-	case OpXor:
-		return new(big.Int).Xor(x, y)
-	case OpAdd:
-		return norm(new(big.Int).Add(x, y))
-	case OpSub:
-		v := new(big.Int).Sub(x, y)
-		return norm(v.Add(v, new(big.Int).Lsh(big.NewInt(1), uint(w))))
-	case OpMul:
-		return norm(new(big.Int).Mul(x, y))
-	case OpUDiv:
-		if y.Sign() == 0 {
-			return new(big.Int).Set(m)
-		}
-		return new(big.Int).Div(x, y)
-	case OpURem:
-		if y.Sign() == 0 {
-			return new(big.Int).Set(x)
-		}
-		return new(big.Int).Mod(x, y)
-	case OpSDiv:
-		xs, ys := toSigned(x, w), toSigned(y, w)
-		if ys.Sign() == 0 {
-			if xs.Sign() < 0 {
-				return big.NewInt(1)
-			}
-			return new(big.Int).Set(m)
-		}
-		return norm(new(big.Int).Add(new(big.Int).Quo(xs, ys), new(big.Int).Lsh(big.NewInt(1), uint(w))))
-	case OpSRem:
-		xs, ys := toSigned(x, w), toSigned(y, w)
-		if ys.Sign() == 0 {
-			return norm(new(big.Int).Add(xs, new(big.Int).Lsh(big.NewInt(1), uint(w))))
-		}
-		return norm(new(big.Int).Add(new(big.Int).Rem(xs, ys), new(big.Int).Lsh(big.NewInt(1), uint(w))))
-	case OpShl:
-		if y.Cmp(big.NewInt(int64(w))) >= 0 {
-			return big.NewInt(0)
-		}
-		return norm(new(big.Int).Lsh(x, uint(y.Uint64())))
-	case OpLShr:
-		if y.Cmp(big.NewInt(int64(w))) >= 0 {
-			return big.NewInt(0)
-		}
-		return new(big.Int).Rsh(x, uint(y.Uint64()))
-	case OpAShr:
-		xs := toSigned(x, w)
-		sh := uint(w)
-		if y.Cmp(big.NewInt(int64(w))) < 0 {
-			sh = uint(y.Uint64())
-		}
-		if sh >= uint(w) {
-			if xs.Sign() < 0 {
-				return new(big.Int).Set(m)
-			}
-			return big.NewInt(0)
-		}
-		return norm(new(big.Int).Add(new(big.Int).Rsh(xs, sh), new(big.Int).Lsh(big.NewInt(1), uint(w))))
-	case OpEq:
-		return fromBool(x.Cmp(y) == 0)
-	case OpULT:
-		return fromBool(x.Cmp(y) < 0)
-	case OpULE:
-		return fromBool(x.Cmp(y) <= 0)
-	case OpSLT:
-		return fromBool(toSigned(x, w).Cmp(toSigned(y, w)) < 0)
-	case OpSLE:
-		return fromBool(toSigned(x, w).Cmp(toSigned(y, w)) <= 0)
-	}
-	panic("refBinary: unexpected op " + op.String())
+	var e evaluator
+	return e.binaryBig(new(big.Int), op, w, x, y)
 }
 
 const ruleWidth = 8

@@ -11,15 +11,38 @@ package bv
 // answers every query under assumptions (the sat.SolveAssuming
 // interface) instead of rebuilding the solver.
 //
+// Most of those queries are Sat, and a satisfying assignment for one is
+// often one for the next: the Δ query of a pair adds conditions that
+// the reachability model usually meets already, and the masking loop
+// drops assumptions from a query that was Sat. An incremental session
+// therefore keeps a small ring of recent satisfying assignments to the
+// blasted input variables (KLEE's counterexample cache, applied inside
+// one session). Before it blasts anything for a query, it evaluates the
+// assumptions concretely under each stored assignment (eval.go),
+// reading variables the assignment lacks as zero; if one makes every
+// assumption true, the query is Sat without search, and that
+// assignment moves to the front of the ring. The check runs after the
+// constant shortcut and the cancelled-context check, so FastPaths
+// counts what it always did and a cancelled query still returns
+// Unknown. It is sound whatever the SAT core does: a Session asserts
+// nothing permanently, so every clause is a Tseitin definition (or the
+// unit fixing the constant-true literal) or learned from them, and any
+// input assignment extends to a model of all of them. An assignment
+// under which every assumption evaluates true therefore proves the
+// query satisfiable. On Unsat the search still runs and produces the
+// core.
+//
 // The same type also provides the non-incremental reference semantics
 // the differential test layer compares against: with Scratch set, every
 // query gets a fresh SAT core and a fresh blaster, exactly as if the
 // query were the first one ever issued. Verdicts must be identical in
 // both modes — only the work differs — and tests assert as much.
+// Scratch mode keeps no witnesses, so it stays an independent oracle.
 
 import (
 	"context"
 	"math/big"
+	"slices"
 	"time"
 )
 
@@ -52,6 +75,12 @@ type Session struct {
 	inc *Solver // lazily created incremental solver (nil in Scratch mode)
 	cur *Solver // solver that produced the last verdict, for model access
 
+	// wit holds the stored satisfying assignments. It stays nil until
+	// an incremental session's first SAT-core Sat, so the many
+	// sessions that never reach one do not pay for it.
+	wit       *witnesses
+	witnessed bool // the last verdict came from wit.ring[0]
+
 	// Queries counts Solve/SolveCore calls; Timeouts counts Unknown
 	// verdicts; FastPaths counts queries answered from constant
 	// assumptions without CDCL search.
@@ -68,10 +97,18 @@ type Session struct {
 	// retained when the query started — the conflict knowledge reused
 	// instead of rediscovered. Always zero in Scratch mode.
 	LearntsReused int64
+	// WitnessHits counts queries answered Sat by a stored assignment,
+	// without blasting or search. Always zero in Scratch mode.
+	WitnessHits int64
 
 	scratchBlasts int64 // terms blasted by discarded scratch solvers
 	scratchDrops  int64 // learnts dropped by discarded scratch solvers
 }
+
+// witnessSlots is how many satisfying assignments a session keeps. On
+// the benchmark workloads eight answer as many queries as 16 or 32,
+// and four or fewer give up much of the gain (EXPERIMENTS.md).
+const witnessSlots = 8
 
 // NewSession returns a session for terms created by bld.
 func NewSession(bld *Builder) *Session {
@@ -115,8 +152,9 @@ func (s *Session) account(sv *Solver, blastsBefore int64, fastBefore, timeoutsBe
 }
 
 // Solve decides whether all assumption terms are jointly satisfiable,
-// reusing the session's encoding and learned clauses (or from scratch
-// when Scratch is set). Assumptions are not retained across calls.
+// reusing the session's encoding, learned clauses and stored
+// assignments (or from scratch when Scratch is set). Assumptions are
+// not retained across calls.
 func (s *Session) Solve(assumptions ...*Term) Result {
 	return s.SolveContext(context.Background(), assumptions...)
 }
@@ -127,10 +165,7 @@ func (s *Session) Solve(assumptions ...*Term) Result {
 // short-circuits before blasting. The checker threads its per-request
 // context through here, down to the CDCL search loop.
 func (s *Session) SolveContext(ctx context.Context, assumptions ...*Term) Result {
-	sv := s.solverForQuery()
-	blasts, fast, timeouts, learnts := sv.Blasts(), sv.FastPaths, sv.Timeouts, sv.LearnedClauses()
-	res := sv.SolveContext(ctx, assumptions...)
-	s.account(sv, blasts, fast, timeouts, learnts)
+	res, _ := s.query(ctx, assumptions, false)
 	return res
 }
 
@@ -143,19 +178,148 @@ func (s *Session) SolveCore(assumptions ...*Term) (Result, []int) {
 // SolveCoreContext is SolveCore under a caller-supplied context, with
 // the cancellation contract of SolveContext.
 func (s *Session) SolveCoreContext(ctx context.Context, assumptions ...*Term) (Result, []int) {
+	return s.query(ctx, assumptions, true)
+}
+
+// query runs one query: the solver's constant and cancellation checks,
+// then (incremental mode) the witness ring, then the SAT search, whose
+// Sat model joins the ring.
+func (s *Session) query(ctx context.Context, assumptions []*Term, wantCore bool) (Result, []int) {
 	sv := s.solverForQuery()
 	blasts, fast, timeouts, learnts := sv.Blasts(), sv.FastPaths, sv.Timeouts, sv.LearnedClauses()
-	res, core := sv.SolveCoreContext(ctx, assumptions...)
+	s.witnessed = false
+	res, core, done := sv.begin(ctx, assumptions)
+	if !done && s.wit != nil && s.wit.hit(assumptions) {
+		res, done = Sat, true
+		s.WitnessHits++
+		s.witnessed = true
+	}
+	if !done {
+		if wantCore {
+			res, core = sv.searchCore(ctx, assumptions)
+		} else {
+			res = sv.search(ctx, assumptions)
+		}
+		if res == Sat && !s.Scratch {
+			if s.wit == nil {
+				s.wit = &witnesses{}
+			}
+			s.wit.store(sv)
+		}
+	}
 	s.account(sv, blasts, fast, timeouts, learnts)
 	return res, core
 }
 
-// HasModel reports whether the last verdict carries a model.
-func (s *Session) HasModel() bool { return s.cur != nil && s.cur.HasModel() }
+// witnesses is a session's ring of up to witnessSlots satisfying
+// assignments, most recently useful first. Each packs the values of
+// the blasted input variables as 64-bit words, variable v at word
+// offset inOff[v.ID()]-1; a variable blasted after an assignment was
+// stored lies past its end and reads as 0.
+type witnesses struct {
+	ring    [][]uint64
+	inOff   []int32 // by Term.ID: 1 + word offset of a blasted input; 0 if none
+	inVars  int     // blaster inputs already given an offset
+	inWords int     // words the inputs with offsets occupy
+	ev      evaluator
+	cur     []uint64  // the assignment ev reads variables from
+	input   inputFunc // ws.read, bound once
+}
+
+// hit reports whether a stored assignment satisfies every assumption,
+// and if so moves it to the front of the ring.
+func (ws *witnesses) hit(assumptions []*Term) bool {
+	for k, a := range ws.ring {
+		if ws.satisfies(a, assumptions) {
+			copy(ws.ring[1:k+1], ws.ring[:k])
+			ws.ring[0] = a
+			return true
+		}
+	}
+	return false
+}
+
+// satisfies evaluates the assumptions under the stored assignment a,
+// stopping at the first false one.
+func (ws *witnesses) satisfies(a []uint64, assumptions []*Term) bool {
+	ws.start(a)
+	for _, t := range assumptions {
+		if !t.IsConstBool(true) && !ws.ev.isTrue(t, ws.input) {
+			return false
+		}
+	}
+	return true
+}
+
+// start points the evaluator at a new assignment, a.
+func (ws *witnesses) start(a []uint64) {
+	if ws.input == nil {
+		ws.input = ws.read
+	}
+	ws.cur = a
+	ws.ev.reset()
+}
+
+// read reads v from the assignment being evaluated.
+func (ws *witnesses) read(v *Term) []uint64 {
+	if v.id >= len(ws.inOff) || ws.inOff[v.id] == 0 {
+		return nil // never blasted
+	}
+	off := int(ws.inOff[v.id]) - 1
+	end := off + (v.width+63)/64
+	if end > len(ws.cur) {
+		return nil // blasted after the assignment was stored
+	}
+	return ws.cur[off:end]
+}
+
+// store packs the SAT model's values of the blasted inputs into the
+// front of the ring, reusing the buffer of the assignment it evicts.
+func (ws *witnesses) store(sv *Solver) {
+	inputs := sv.bl.inputs
+	for _, in := range inputs[ws.inVars:] {
+		if n := in.v.id + 1; n > len(ws.inOff) {
+			ws.inOff = append(ws.inOff, make([]int32, max(n, 2*len(ws.inOff))-len(ws.inOff))...)
+		}
+		ws.inOff[in.v.id] = int32(ws.inWords + 1)
+		ws.inWords += (in.v.width + 63) / 64
+	}
+	ws.inVars = len(inputs)
+
+	if len(ws.ring) < witnessSlots {
+		ws.ring = append(ws.ring, nil)
+	}
+	a := ws.ring[len(ws.ring)-1]
+	copy(ws.ring[1:], ws.ring[:len(ws.ring)-1])
+	a = slices.Grow(a[:0], ws.inWords)[:ws.inWords]
+	clear(a)
+	for _, in := range inputs {
+		off := int(ws.inOff[in.v.id]) - 1
+		for i, l := range in.lits {
+			if sv.sat.ModelValue(l.Var()) != l.Neg() {
+				a[off+i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	ws.ring[0] = a
+}
+
+// HasModel reports whether the last verdict carries a model: a Sat
+// from the SAT core or from a stored assignment.
+func (s *Session) HasModel() bool {
+	return s.witnessed || s.cur != nil && s.cur.HasModel()
+}
 
 // Value returns the value of t under the model of the last Sat verdict;
-// it panics (like Solver.Value) when no model is available.
+// it panics (like Solver.Value) when no model is available. After a Sat
+// answered by a stored assignment, the model is that assignment: t is
+// evaluated concretely under it, with variables it does not bind read
+// as zero, so any term of the session's builder has a value.
 func (s *Session) Value(t *Term) *big.Int {
+	if s.witnessed {
+		s.wit.start(s.wit.ring[0])
+		return s.wit.ev.value(t, s.wit.input)
+	}
 	if s.cur == nil {
 		panic("bv: Value called on a session with no queries")
 	}

@@ -2,6 +2,7 @@ package bv
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -215,5 +216,94 @@ func TestSessionFastPathNoModel(t *testing.T) {
 		if s.BlastPasses != 0 {
 			t.Errorf("scratch=%v: fast paths blasted terms (%d passes)", scratch, s.BlastPasses)
 		}
+	}
+}
+
+// TestSessionWitnessChain runs a checker-shaped chain (reachability,
+// then the Δ query, then masking variants) in which later queries are
+// answered from a stored satisfying assignment. Verdicts and Unsat
+// cores must equal a scratch session's, the skipped blasting must
+// show, constant assumptions must stay fast paths, and a cancelled
+// context must win over a stored assignment.
+func TestSessionWitnessChain(t *testing.T) {
+	bld := NewBuilder()
+	x := bld.Var("x", 8)
+	y := bld.Var("y", 8)
+	reach := bld.ULT(x, bld.ConstInt64(10, 8))
+	d1 := bld.Ne(y, bld.ConstInt64(0, 8))
+	d2 := bld.ULT(bld.Add(x, y), bld.ConstInt64(200, 8))
+	d3 := bld.Eq(x, bld.ConstInt64(200, 8)) // contradicts reach
+	// Only ever queried where reach holds, under which it is true; no
+	// other query blasts it.
+	d4 := bld.ULT(bld.And(x, bld.ConstInt64(0xF0, 8)), bld.ConstInt64(16, 8))
+
+	chain := [][]*Term{
+		{reach},             // reachability
+		{reach, d1, d2},     // Δ
+		{reach, d1},         // masking: drop d2
+		{reach, d2},         // masking: drop d1
+		{reach, d1, d2, d3}, // Unsat
+		{reach, d4},         // new terms, answered without blasting them
+		{reach, d1, d3},     // Unsat again
+		{reach},
+	}
+	inc := NewSession(bld)
+	scr := NewSession(bld)
+	scr.Scratch = true
+	plain := NewSolver(bld) // incremental, but keeps no assignments
+	for i, q := range chain {
+		ri, ci := inc.SolveCore(q...)
+		rs, cs := scr.SolveCore(q...)
+		plain.SolveCore(q...)
+		if ri != rs || !reflect.DeepEqual(ci, cs) {
+			t.Fatalf("query %d: incremental %v %v, scratch %v %v", i, ri, ci, rs, cs)
+		}
+		if ri == Sat {
+			if !inc.HasModel() {
+				t.Fatalf("query %d: Sat without a model", i)
+			}
+			for _, a := range q {
+				if inc.Value(a).Sign() == 0 {
+					t.Fatalf("query %d: model falsifies assumption %s (witnessed=%v)", i, a, inc.witnessed)
+				}
+			}
+		}
+	}
+	if inc.WitnessHits < 3 {
+		t.Errorf("WitnessHits = %d, want the masking queries and d4 answered from the ring", inc.WitnessHits)
+	}
+	if scr.WitnessHits != 0 {
+		t.Errorf("scratch session answered %d queries from stored assignments", scr.WitnessHits)
+	}
+	if inc.Blasts() >= plain.Blasts() {
+		t.Errorf("session blasted %d terms, a solver without stored assignments %d; want strictly fewer",
+			inc.Blasts(), plain.Blasts())
+	}
+
+	// A constant-false assumption is a fast path, not a witness hit,
+	// even though a stored assignment satisfies the rest.
+	hits, fast := inc.WitnessHits, inc.FastPaths
+	if res, core := inc.SolveCore(reach, bld.ULT(x, bld.ConstInt64(0, 8))); res != Unsat || !reflect.DeepEqual(core, []int{1}) {
+		t.Fatalf("const-false query: %v %v, want unsat [1]", res, core)
+	}
+	if inc.FastPaths != fast+1 || inc.WitnessHits != hits {
+		t.Errorf("const-false query: FastPaths %d→%d, WitnessHits %d→%d; want one fast path, no hit",
+			fast, inc.FastPaths, hits, inc.WitnessHits)
+	}
+
+	// A cancelled context returns Unknown although the front of the
+	// ring satisfies the query.
+	if !inc.wit.satisfies(inc.wit.ring[0], []*Term{reach}) {
+		t.Fatal("test bug: the stored assignment does not satisfy reach")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	timeouts := inc.Timeouts
+	if res := inc.SolveContext(ctx, reach); res != Unknown {
+		t.Errorf("cancelled query: %v, want unknown", res)
+	}
+	if inc.WitnessHits != hits || inc.Timeouts != timeouts+1 || inc.HasModel() {
+		t.Errorf("cancelled query: WitnessHits %d→%d, Timeouts %d→%d, HasModel %v",
+			hits, inc.WitnessHits, timeouts, inc.Timeouts, inc.HasModel())
 	}
 }

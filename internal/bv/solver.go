@@ -154,14 +154,31 @@ func (s *Solver) Solve(assumptions ...*Term) Result {
 // is cancelled or passes its deadline, and an already-cancelled context
 // short-circuits before any bit-blasting.
 func (s *Solver) SolveContext(ctx context.Context, assumptions ...*Term) Result {
-	s.Queries++
-	s.modelValid = false
-	if res, _, ok := s.constShortcut(assumptions); ok {
+	if res, _, done := s.begin(ctx, assumptions); done {
 		return res
 	}
-	if s.cancelled(ctx) {
-		return Unknown
+	return s.search(ctx, assumptions)
+}
+
+// begin opens a query: it counts it, invalidates the previous model,
+// and answers the query when that needs no bit-blasting — from
+// constant assumptions (constShortcut) or an already-cancelled
+// context. done is false when the query still has to be searched.
+func (s *Solver) begin(ctx context.Context, assumptions []*Term) (res Result, core []int, done bool) {
+	s.Queries++
+	s.modelValid = false
+	if res, core, ok := s.constShortcut(assumptions); ok {
+		return res, core, true
 	}
+	if s.cancelled(ctx) {
+		return Unknown, nil, true
+	}
+	return Unknown, nil, false
+}
+
+// search blasts the assumptions and runs the SAT core on them: the
+// part of SolveContext after begin.
+func (s *Solver) search(ctx context.Context, assumptions []*Term) Result {
 	lits := make([]sat.Lit, 0, len(assumptions))
 	for _, t := range assumptions {
 		if t.IsConstBool(true) {
@@ -196,6 +213,11 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...*Term) Result 
 // model value — its defining clauses postdate the model — so asking
 // for one panics instead of returning bits that violate the term's own
 // semantics.
+//
+// A Session answers some Sat queries from a stored satisfying
+// assignment, without the SAT core; its Value then evaluates terms
+// under that assignment instead (see Session.Value), where every term
+// has a value.
 func (s *Solver) Value(t *Term) *big.Int {
 	if !s.modelValid {
 		panic("bv: Value called without a model (last verdict was not a SAT-core Sat)")
@@ -227,14 +249,14 @@ func (s *Solver) SolveCore(assumptions ...*Term) (Result, []int) {
 // SolveCoreContext is SolveCore under a caller-supplied context, with
 // the same cancellation contract as SolveContext.
 func (s *Solver) SolveCoreContext(ctx context.Context, assumptions ...*Term) (Result, []int) {
-	s.Queries++
-	s.modelValid = false
-	if res, core, ok := s.constShortcut(assumptions); ok {
+	if res, core, done := s.begin(ctx, assumptions); done {
 		return res, core
 	}
-	if s.cancelled(ctx) {
-		return Unknown, nil
-	}
+	return s.searchCore(ctx, assumptions)
+}
+
+// searchCore is search with the Unsat core of SolveCoreContext.
+func (s *Solver) searchCore(ctx context.Context, assumptions []*Term) (Result, []int) {
 	lits := make([]sat.Lit, len(assumptions))
 	for i, t := range assumptions {
 		lits[i] = s.litFor(t)

@@ -78,8 +78,7 @@ type Options struct {
 	// promotion of non-escaping allocas, sparse conditional constant
 	// propagation, dominator-ordered value numbering, dead-store
 	// elimination, loop-invariant UB hoisting) over each function
-	// before UB-condition insertion and encoding, and enables the
-	// dominator-ordered elimination walk on acyclic CFGs. On since
+	// before UB-condition insertion and encoding. On since
 	// PR 10 (set by DefaultOptions); the legacy pipeline remains the
 	// differential reference behind SSA=false. The passes are
 	// engineered so that sweep output is byte-identical to the legacy
@@ -217,7 +216,6 @@ func (c *Checker) CheckFunc(ctx context.Context, f *ir.Func) ([]*Report, error) 
 	// must see the final IR. The passes touch no blocks or edges, so
 	// the dominator tree computed first stays valid.
 	dom := ir.ComputeDom(f)
-	ssaAcyclic := false
 	if c.opts.SSA {
 		ps := ir.RunSSAPasses(f, dom)
 		c.stats.PromotedAllocas += int64(ps.PromotedAllocas)
@@ -231,7 +229,6 @@ func (c *Checker) CheckFunc(ctx context.Context, f *ir.Func) ([]*Report, error) 
 		if ps.Sharpening() {
 			c.stats.SSASharpened++
 		}
-		ssaAcyclic = len(ir.BackEdges(f)) == 0
 	}
 	enc := newEncoder(bld, f)
 	ubs := insertUBConds(f)
@@ -239,7 +236,6 @@ func (c *Checker) CheckFunc(ctx context.Context, f *ir.Func) ([]*Report, error) 
 	st := &funcState{
 		c: c, ctx: ctx, f: f, enc: enc, solver: solver, ubs: ubs, dom: dom,
 		eliminated: map[*ir.Block]bool{},
-		domOrdered: ssaAcyclic,
 	}
 	for _, b := range f.Blocks {
 		for _, v := range b.Values() {
@@ -259,6 +255,7 @@ func (c *Checker) CheckFunc(ctx context.Context, f *ir.Func) ([]*Report, error) 
 	c.stats.Queries += solver.Queries
 	c.stats.Timeouts += solver.Timeouts
 	c.stats.FastPaths += solver.FastPaths
+	c.stats.WitnessHits += solver.WitnessHits
 	c.stats.RewriteHits += int64(bld.RewriteHits)
 	c.stats.TermsCreated += int64(bld.TermsCreated)
 	c.stats.CacheHits += int64(bld.CacheHits)
@@ -266,7 +263,6 @@ func (c *Checker) CheckFunc(ctx context.Context, f *ir.Func) ([]*Report, error) 
 	c.stats.BlastPasses += solver.BlastPasses
 	c.stats.LearntsReused += solver.LearntsReused
 	c.stats.LearntsDropped += solver.LearntsDropped()
-	c.stats.DomOrderedSkips += st.domSkips
 	c.stats.ArenaBytesReused += c.arena.BytesReused() - arenaReusedBefore
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -284,13 +280,6 @@ type funcState struct {
 	dom        *ir.DomTree
 	allConds   []*UBCond
 	eliminated map[*ir.Block]bool
-	// domOrdered enables the dominator-ordered elimination walk: the
-	// function is acyclic (no reachability widening) and in SSA mode,
-	// so a block's satisfiable elimination queries imply its
-	// dominators' and those queries can be skipped. domSkips counts
-	// the queries skipped that the plain walk would have issued.
-	domOrdered bool
-	domSkips   int64
 }
 
 // wellDefinedTerms encodes the well-defined program assumption ∆ (Def.
@@ -335,8 +324,8 @@ func (st *funcState) wellDefinedTerms(b *ir.Block, uptoTerm bool) ([]*bv.Term, [
 }
 
 // elimVerdict memoizes one block's elimination queries. p1 and p2
-// default to Sat when a query was skipped because a dominated block's
-// satisfiable verdict already implied the answer (see eliminate).
+// default to Sat: constant-true reachability needs no phase-1 query,
+// and a block without UB conditions no phase-2 query.
 type elimVerdict struct {
 	trivial bool // reachability const-false: silently eliminated
 	r       *bv.Term
@@ -348,17 +337,7 @@ type elimVerdict struct {
 }
 
 // elimQueries issues the Fig. 5 solver queries for one block.
-// forcedReach/forcedAlive record that a block dominated by b already
-// answered Sat in phase 1 / phase 2: in an acyclic CFG every path to
-// that block passes through b, so any model of its reachability (and
-// of its ∆ — whose per-condition terms are pointwise implied, plain
-// ¬U_d ⇒ guarded Or(¬R'_d, ¬U_d), identical terms otherwise) is a
-// model of b's, and the query is skipped as Sat. Skips are counted
-// only where the plain walk would actually have queried. A forcedAlive
-// block still computes its ∆ terms — the plain walk does too before
-// its phase-2 query, and term construction must not depend on the
-// walk order.
-func (st *funcState) elimQueries(b *ir.Block, forcedReach, forcedAlive bool) elimVerdict {
+func (st *funcState) elimQueries(b *ir.Block) elimVerdict {
 	v := elimVerdict{p1: bv.Sat, p2: bv.Sat}
 	v.r = st.enc.reachability(b)
 	if v.r.IsConstBool(false) {
@@ -370,22 +349,14 @@ func (st *funcState) elimQueries(b *ir.Block, forcedReach, forcedAlive bool) eli
 	// reachability (common after word-level rewriting) needs no
 	// query at all.
 	if !v.r.IsConstBool(true) {
-		if forcedReach || forcedAlive {
-			st.domSkips++
-		} else {
-			v.p1 = st.solver.SolveContext(st.ctx, v.r)
-			if v.p1 != bv.Sat {
-				return v
-			}
+		v.p1 = st.solver.SolveContext(st.ctx, v.r)
+		if v.p1 != bv.Sat {
+			return v
 		}
 	}
 	// Phase 2 (with the well-defined program assumption).
 	v.negs, v.kept = st.wellDefinedTerms(b, false)
 	if len(v.negs) == 0 {
-		return v
-	}
-	if forcedAlive {
-		st.domSkips++
 		return v
 	}
 	assumptions := append([]*bv.Term{v.r}, v.negs...)
@@ -397,48 +368,29 @@ func (st *funcState) elimQueries(b *ir.Block, forcedReach, forcedAlive bool) eli
 // are reachable under C* but unreachable under the well-defined
 // program assumption.
 //
-// In dominator-ordered mode (SSA on, acyclic function) the solver
-// queries run in a pre-pass over the blocks in reverse layout order,
-// and a block whose phase answered Sat forces the same answer on all
-// its dominators, whose queries are then skipped (elimQueries). The
-// verdict for every decided query is identical to the plain walk's —
-// only queries whose answer is implied are dropped — and the verdicts
-// are consumed in layout order below, so the eliminated set, the
-// downstream-frontier suppression, and the report order are unchanged.
-// Like ScratchSolve, the different query order can shift which query a
-// conflict or time budget expires on; outside budget exhaustion the
-// output is byte-identical.
+// The solver queries run first, over the blocks in reverse layout
+// order, and their verdicts are consumed in layout order below, so the
+// eliminated set, the downstream-frontier suppression and the report
+// order are those of a walk in layout order. Querying a block before
+// its dominators is what makes the session's stored assignments pay
+// off: in an acyclic CFG a model of a block's reachability (and of its
+// Δ, whose per-condition terms are pointwise implied) is one of each
+// dominator's, so the dominators' queries are answered from the
+// assignment without search. Like ScratchSolve, the query order can
+// shift which query a conflict or time budget expires on; outside
+// budget exhaustion the output is that of the layout-order walk.
 func (st *funcState) eliminate() []*Report {
 	var out []*Report
-	var verdicts map[*ir.Block]elimVerdict
-	if st.domOrdered {
-		verdicts = make(map[*ir.Block]elimVerdict, len(st.f.Blocks))
-		forcedReach := map[*ir.Block]bool{}
-		forcedAlive := map[*ir.Block]bool{}
-		for i := len(st.f.Blocks) - 1; i >= 0; i-- {
-			b := st.f.Blocks[i]
-			if b == st.f.Entry {
-				continue
-			}
-			if st.ctx.Err() != nil {
-				break // cancelled: partial pre-pass, walk below bails too
-			}
-			v := st.elimQueries(b, forcedReach[b], forcedAlive[b])
-			verdicts[b] = v
-			if v.trivial || v.p1 != bv.Sat {
-				continue
-			}
-			alive := len(v.negs) == 0 || v.p2 == bv.Sat
-			for _, d := range st.dom.Dominators(b) {
-				if d == b || d == st.f.Entry {
-					continue
-				}
-				forcedReach[d] = true
-				if alive {
-					forcedAlive[d] = true
-				}
-			}
+	verdicts := make(map[*ir.Block]elimVerdict, len(st.f.Blocks))
+	for i := len(st.f.Blocks) - 1; i >= 0; i-- {
+		b := st.f.Blocks[i]
+		if b == st.f.Entry {
+			continue
 		}
+		if st.ctx.Err() != nil {
+			return nil // cancelled: CheckFunc discards the results
+		}
+		verdicts[b] = st.elimQueries(b)
 	}
 	for _, b := range st.f.Blocks {
 		if st.ctx.Err() != nil {
@@ -447,15 +399,7 @@ func (st *funcState) eliminate() []*Report {
 		if b == st.f.Entry {
 			continue
 		}
-		var v elimVerdict
-		if st.domOrdered {
-			var ok bool
-			if v, ok = verdicts[b]; !ok {
-				return out // pre-pass was cancelled before reaching b
-			}
-		} else {
-			v = st.elimQueries(b, false, false)
-		}
+		v := verdicts[b]
 		if v.trivial || v.p1 == bv.Unsat {
 			st.eliminated[b] = true
 			continue

@@ -23,9 +23,8 @@ import (
 // (the victim's terms are interned to the representative's, so the
 // deduplicated assumption list is unchanged), SCCP folds of
 // already-constant operands reproduce the very terms the rewrite layer
-// would have built, and the dominator-ordered elimination walk only
-// skips queries whose answers are implied — so when no function
-// sharpened, the reports must be byte-identical. The sharpening
+// would have built — so when no function sharpened, the reports must
+// be byte-identical. The sharpening
 // transforms (promotion, store elimination, lattice-only SCCP facts,
 // hoisting) are semantics-preserving but precision-sharpening:
 // promotion can prove a pointer constant (turning an opaque load into

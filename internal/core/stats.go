@@ -54,9 +54,12 @@ type Stats struct {
 	// conditions it proved constant, SCCPUnreachableBlocks counts blocks
 	// with no executable in-edge, CrossBlockGVNHits counts values merged
 	// into a representative in a dominating block, HoistedUBTerms counts
-	// UB-carrying instructions hoisted out of loop headers, and
-	// DomOrderedSkips counts elimination queries skipped because a
-	// dominated block's satisfiable verdict implied them.
+	// UB-carrying instructions hoisted out of loop headers.
+	// DomOrderedSkips is always zero and kept only so that the encodings
+	// stay additive: it counted elimination queries skipped because a
+	// dominated block's satisfiable verdict implied them, and those
+	// queries are now answered from the session's stored assignment
+	// (WitnessHits).
 	PromotedAllocas       int64 `json:"promotedAllocas,omitempty" prom:"stackd_solver_promoted_allocas_total" help:"Allocas promoted to SSA values (WithSSA)."`
 	EliminatedStores      int64 `json:"eliminatedStores,omitempty" prom:"stackd_solver_eliminated_stores_total" help:"Stores removed by SSA passes (WithSSA)."`
 	GVNHits               int64 `json:"gvnHits,omitempty" prom:"stackd_solver_gvn_hits_total" help:"Values merged by value numbering (WithSSA)."`
@@ -84,6 +87,11 @@ type Stats struct {
 	// the point.
 	CacheResultHits   int64 `json:"cacheResultHits,omitempty" prom:"stackd_result_cache_result_hits_total" help:"Sources answered whole from the result cache."`
 	CacheResultMisses int64 `json:"cacheResultMisses,omitempty" prom:"stackd_result_cache_result_misses_total" help:"Sources analyzed for real (result-cache misses)."`
+	// WitnessHits counts solver queries answered Sat by a satisfying
+	// assignment the function's session had stored from an earlier
+	// query, without blasting or CDCL search (see bv.Session). Like
+	// TermsBlasted it is effort: scratch solving keeps no assignments.
+	WitnessHits int64 `json:"witnessHits,omitempty" prom:"stackd_solver_witness_hits_total" help:"Queries answered Sat by a stored satisfying assignment, without search."`
 }
 
 // Add accumulates other into s, field by field. It is the reduction

@@ -231,11 +231,12 @@ func TestSweepIncrementalVsScratch(t *testing.T) {
 		t.Fatal("archive produced no reports; test is vacuous")
 	}
 
-	// Verdict-level outputs are identical; only blasting and learnt
-	// effort differs.
+	// Verdict-level outputs are identical; only blasting, learnt and
+	// witness effort differs.
 	ci, cs := summaryOf(inc), summaryOf(scr)
 	for _, st := range []*core.Stats{&ci.Stats, &cs.Stats} {
 		st.TermsBlasted, st.BlastPasses, st.LearntsReused, st.LearntsDropped = 0, 0, 0, 0
+		st.WitnessHits = 0
 	}
 	if !reflect.DeepEqual(ci, cs) {
 		t.Errorf("counts diverge:\n incremental: %+v\n scratch:     %+v", ci, cs)
@@ -256,6 +257,14 @@ func TestSweepIncrementalVsScratch(t *testing.T) {
 	}
 	if scr.Stats.LearntsReused != 0 {
 		t.Errorf("scratch mode reused %d learned clauses; must be 0", scr.Stats.LearntsReused)
+	}
+	// Scratch solving is the witness-free oracle; incremental sessions
+	// must actually answer queries from stored assignments.
+	if scr.Stats.WitnessHits != 0 {
+		t.Errorf("scratch mode answered %d queries from stored assignments; must be 0", scr.Stats.WitnessHits)
+	}
+	if inc.Stats.WitnessHits == 0 {
+		t.Error("incremental sessions answered no query from a stored assignment")
 	}
 }
 

@@ -134,9 +134,7 @@ func WithScratchSolving(on bool) Option {
 // WithSSA toggles the pruned-SSA pass stack run over each function
 // before encoding: mem2reg promotion of non-escaping allocas, sparse
 // conditional constant propagation, dominator-ordered value numbering,
-// dead-store elimination, and loop-invariant UB hoisting — plus, on
-// acyclic functions, the dominator-ordered elimination walk that skips
-// solver queries whose answer a dominated block already implied.
+// dead-store elimination, and loop-invariant UB hoisting.
 //
 // On by default. Diagnostics are byte-identical to the legacy pipeline
 // across the synthetic corpus (the differential gate
@@ -147,7 +145,7 @@ func WithScratchSolving(on bool) Option {
 // hash-cons across the whole function.
 // WithSSA(false) is the escape hatch and the differential reference:
 // every per-pass fuzz oracle compares against it. The pass counters
-// surface in Stats (PromotedAllocas through DomOrderedSkips, plus
+// surface in Stats (PromotedAllocas through HoistedUBTerms, plus
 // SSASharpened).
 func WithSSA(on bool) Option {
 	return func(c *config) { c.opts.SSA = on }
