@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet staticcheck vulncheck invariants test bench-test race stackd-race fleet-race ssa-differential cache-identity bench-smoke bench bench-json bench-gate fuzz-smoke service-smoke cover race-cover ci
+.PHONY: all build vet staticcheck vulncheck invariants test bench-test race stackd-race fleet-race ssa-differential cache-identity bench-smoke bench fuzz-smoke service-smoke cover race-cover ci
 
 all: build
 
@@ -82,13 +82,13 @@ cache-identity:
 	$(GO) test -race -run 'WarmCache|CacheKey|Fingerprint|CacheCorrupt' ./stack
 	$(GO) test -race ./stack/cache
 
-# Short smoke run of the Figure 16 Kerberos profile plus the parallel
-# sweep, incremental-vs-scratch, SSA chain-heavy, SCCP branch-heavy,
-# and warm result-cache benchmarks (speedup-vs-serial,
-# rewrite-hit-rate, queries-per-blast, blast-reduction,
-# sccp-folded-branches, hoisted-ub-terms, and warm-hit-rate metrics),
-# then one iteration of every SAT core benchmark, the Sat-heavy
-# incremental one included.
+# The perf gate: one iteration each of the Figure 16 Kerberos profile
+# plus the parallel sweep, incremental-vs-scratch, SSA chain-heavy,
+# SCCP branch-heavy, and warm result-cache benchmarks, each of which
+# fails unless its work counts equal the rows pinned in pinned_test.go
+# and its allocs/op stay within 1.02x of the pinned value; then one
+# iteration of every SAT core benchmark, the Sat-heavy incremental one
+# included. Wall-clock performance is gated by bench/ paired runs.
 bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkFig16Kerberos|BenchmarkSweepParallel|BenchmarkIncrementalVsScratch|BenchmarkSSAChainHeavy|BenchmarkSCCPBranchHeavy|BenchmarkWarmSweep' -benchtime=1x
 	$(GO) test ./internal/sat -run NONE -bench . -benchtime=1x
@@ -96,18 +96,6 @@ bench-smoke:
 # Full paper-figure regeneration (see EXPERIMENTS.md).
 bench:
 	$(GO) test -run NONE -bench . -benchmem
-
-# Machine-readable benchmark trajectory (see EXPERIMENTS.md). bench-json
-# regenerates the current checkpoint file; bump BENCH_CHECKPOINT when a
-# PR advances the trajectory. bench-gate reruns the set and fails on
-# regression against the newest committed BENCH_<n>.json; with no
-# checkpoint committed it passes with a notice.
-BENCH_CHECKPOINT ?= 9
-bench-json:
-	$(GO) run ./scripts/benchjson -out BENCH_$(BENCH_CHECKPOINT).json
-
-bench-gate:
-	$(GO) run ./scripts/benchjson -compare-latest
 
 # Run each native fuzz target briefly (go test allows one -fuzz
 # pattern per invocation). Seed corpora live under testdata/fuzz and
@@ -152,4 +140,4 @@ race-cover:
 	$(GO) test -race -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-ci: vet staticcheck vulncheck invariants build race-cover bench-test fleet-race ssa-differential cache-identity bench-smoke bench-gate fuzz-smoke service-smoke
+ci: vet staticcheck vulncheck invariants build race-cover bench-test fleet-race ssa-differential cache-identity bench-smoke fuzz-smoke service-smoke

@@ -4,6 +4,10 @@ package repro
 // benchmark both measures the work and emits the reproduced quantities
 // as custom metrics, so `go test -bench=. -benchmem` regenerates the
 // paper's numbers. EXPERIMENTS.md maps each benchmark to its figure.
+// Every benchmark runs the shipped configuration, core.DefaultOptions;
+// a variant copies it and changes one field. The reproduced counts and
+// the exact work of the `make bench-smoke` set are pinned in
+// pinned_test.go.
 
 import (
 	"context"
@@ -20,15 +24,6 @@ import (
 	"repro/stack"
 	"repro/stack/cache"
 )
-
-func checkerOpts() core.Options {
-	return core.Options{
-		Timeout:       5 * time.Second,
-		FilterOrigins: true,
-		MinUBSets:     true,
-		Inline:        true,
-	}
-}
 
 func mustCheck(b *testing.B, checker *core.Checker, name, src string) []*core.Report {
 	b.Helper()
@@ -65,7 +60,7 @@ int parse(char *buf, char *buf_end, unsigned int len) {
 `
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		checker := core.New(checkerOpts())
+		checker := core.New(core.DefaultOptions)
 		reports := mustCheck(b, checker, "fig1.c", src)
 		if len(reports) == 0 {
 			b.Fatal("Figure 1 check not detected")
@@ -88,7 +83,7 @@ int poll(struct tun_struct *tun) {
 `
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		checker := core.New(checkerOpts())
+		checker := core.New(core.DefaultOptions)
 		reports := mustCheck(b, checker, "fig2.c", src)
 		if len(reports) == 0 {
 			b.Fatal("Figure 2 check not detected")
@@ -124,9 +119,9 @@ func BenchmarkFig4CompilerSurvey(b *testing.B) {
 func BenchmarkFig9BugCorpus(b *testing.B) {
 	sources := corpus.GenerateFig9()
 	var detected, reports int
-	for i := 0; i < b.N; i++ {
+	allocs := measure(b, func() {
 		detected, reports = 0, 0
-		checker := core.New(checkerOpts())
+		checker := core.New(core.DefaultOptions)
 		for _, ss := range sources {
 			rs := mustCheck(b, checker, ss.System+".c", ss.Source)
 			reports += len(rs)
@@ -146,7 +141,8 @@ func BenchmarkFig9BugCorpus(b *testing.B) {
 		if detected != 160 {
 			b.Fatalf("detected %d/160 bugs", detected)
 		}
-	}
+	})
+	checkPinned(b, allocs, map[string]any{"figure": map[string]int{"bugs-found": detected, "reports": reports}})
 	b.ReportMetric(float64(detected), "bugs-found")
 	b.ReportMetric(float64(reports), "reports")
 }
@@ -155,7 +151,7 @@ func BenchmarkFig9BugCorpus(b *testing.B) {
 func sweepOnce(b *testing.B, cfg corpus.ArchiveConfig) *corpus.SweepResult {
 	b.Helper()
 	pkgs := corpus.GenerateArchive(cfg)
-	res, err := corpus.Sweep(context.Background(), pkgs, checkerOpts())
+	res, err := corpus.Sweep(context.Background(), pkgs, core.DefaultOptions)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -165,29 +161,42 @@ func sweepOnce(b *testing.B, cfg corpus.ArchiveConfig) *corpus.SweepResult {
 // BenchmarkFig16Kerberos / Postgres / Linux reproduce the Figure 16
 // performance rows: build time, analysis time, files, queries, and
 // timeouts for three package profiles (scaled; see EXPERIMENTS.md).
-func BenchmarkFig16Kerberos(b *testing.B) { benchFig16(b, 70, 6, 1) }
+// Kerberos, the profile `make bench-smoke` runs, also pins its whole
+// Stats.
+func BenchmarkFig16Kerberos(b *testing.B) {
+	res, figure, allocs := benchFig16(b, 70, 6, 1)
+	checkPinned(b, allocs, map[string]any{"figure": figure, "stats": res.Stats})
+}
 
 // BenchmarkFig16Postgres is the Postgres-sized profile.
-func BenchmarkFig16Postgres(b *testing.B) { benchFig16(b, 77, 6, 2) }
+func BenchmarkFig16Postgres(b *testing.B) {
+	_, figure, allocs := benchFig16(b, 77, 6, 2)
+	checkPinned(b, allocs, map[string]any{"figure": figure})
+}
 
 // BenchmarkFig16Linux is the Linux-kernel-sized profile.
-func BenchmarkFig16Linux(b *testing.B) { benchFig16(b, 280, 8, 3) }
+func BenchmarkFig16Linux(b *testing.B) {
+	_, figure, allocs := benchFig16(b, 280, 8, 3)
+	checkPinned(b, allocs, map[string]any{"figure": figure})
+}
 
-func benchFig16(b *testing.B, files, funcs int, seed int64) {
+// benchFig16 sweeps one profile and returns the result, its Figure 16
+// counts and the allocs/op of the sweep.
+func benchFig16(b *testing.B, files, funcs int, seed int64) (*corpus.SweepResult, map[string]int64, float64) {
 	cfg := corpus.ArchiveConfig{
 		Packages: 1, FilesPerPackage: files, FuncsPerFile: funcs,
 		UnstableFraction: 1, Seed: seed,
 	}
 	var res *corpus.SweepResult
-	for i := 0; i < b.N; i++ {
-		res = sweepOnce(b, cfg)
-	}
+	allocs := measure(b, func() { res = sweepOnce(b, cfg) })
 	b.ReportMetric(float64(res.Files), "files")
 	b.ReportMetric(float64(res.Stats.Queries), "queries")
 	b.ReportMetric(float64(res.Stats.Timeouts), "query-timeouts")
 	b.ReportMetric(res.BuildTime.Seconds(), "build-sec")
 	b.ReportMetric(res.AnalysisTime.Seconds(), "analysis-sec")
 	b.ReportMetric(float64(res.Stats.RewriteHits), "rewrite-hits")
+	figure := map[string]int64{"files": int64(res.Files), "queries": res.Stats.Queries, "query-timeouts": res.Stats.Timeouts}
+	return res, figure, allocs
 }
 
 // BenchmarkSweepParallel measures the worker-pool sweep pipeline
@@ -201,7 +210,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 		UnstableFraction: 1, Seed: 16,
 	}
 	pkgs := corpus.GenerateArchive(cfg)
-	opts := checkerOpts()
+	opts := core.DefaultOptions
 
 	// Serial baseline: best of two runs, so first-run warmup costs
 	// (allocator growth, cold caches) don't inflate the speedup.
@@ -219,14 +228,14 @@ func BenchmarkSweepParallel(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	sweeper := &corpus.Sweeper{Options: opts, Workers: workers}
 	var res *corpus.SweepResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	allocs := measure(b, func() {
 		r, err := sweeper.Run(context.Background(), pkgs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		res = r
-	}
+	})
+	checkPinned(b, allocs, map[string]any{"stats": res.Stats})
 	perOp := b.Elapsed() / time.Duration(b.N)
 	b.ReportMetric(serial.Seconds()/perOp.Seconds(), "speedup-vs-serial")
 	st := res.Stats
@@ -243,11 +252,11 @@ func BenchmarkSweepParallel(b *testing.B) {
 // repeated archive sweep: one cold sweep populates the cache, then the
 // timed iterations re-sweep the identical archive and must be answered
 // entirely from it. The benchmark fails — not merely regresses — if
-// any warm file misses or the warm sweep does any solver work, so the
-// warm-hit-rate metric it emits is a gated trajectory quantity (see
-// scripts/benchjson). warm-speedup (cold wall clock over warm) is the
-// headline payoff and is reported informationally: it depends on the
-// machine, while the hit rate does not.
+// any warm file misses or the warm sweep does any solver work; its
+// files, reports, cache hits and misses, and queries are pinned.
+// warm-speedup (cold wall clock over warm) is the headline payoff and
+// is reported informationally: it depends on the machine, while the
+// counts do not.
 func BenchmarkWarmSweep(b *testing.B) {
 	pkgs := corpus.GenerateArchive(corpus.DefaultArchive)
 	stackPkgs := make([]stack.Package, len(pkgs))
@@ -268,16 +277,14 @@ func BenchmarkWarmSweep(b *testing.B) {
 	}
 
 	b.ReportAllocs()
-	b.ResetTimer()
 	var res *stack.SweepResult
-	for i := 0; i < b.N; i++ {
+	allocs := measure(b, func() {
 		r, err := az.Sweep(ctx, stackPkgs, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		res = r
-	}
-	b.StopTimer()
+	})
 
 	files := int64(res.Files)
 	if res.CacheResultHits != files || res.CacheResultMisses != 0 {
@@ -289,6 +296,10 @@ func BenchmarkWarmSweep(b *testing.B) {
 	if res.Reports != coldRes.Reports {
 		b.Fatalf("warm reports %d != cold %d", res.Reports, coldRes.Reports)
 	}
+	checkPinned(b, allocs, map[string]any{"counts": map[string]int64{
+		"files": files, "reports": int64(res.Reports), "queries": res.Queries,
+		"cacheResultHits": res.CacheResultHits, "cacheResultMisses": res.CacheResultMisses,
+	}})
 	warm := b.Elapsed() / time.Duration(b.N)
 	b.ReportMetric(float64(res.CacheResultHits)/float64(files), "warm-hit-rate")
 	b.ReportMetric(cold.Seconds()/warm.Seconds(), "warm-speedup")
@@ -309,7 +320,7 @@ func BenchmarkWarmSweep(b *testing.B) {
 func BenchmarkIncrementalVsScratch(b *testing.B) {
 	sources := corpus.GenerateFig9()
 	run := func(scratch bool) core.Stats {
-		opts := checkerOpts()
+		opts := core.DefaultOptions
 		opts.ScratchSolve = scratch
 		checker := core.New(opts)
 		for _, ss := range sources {
@@ -322,13 +333,10 @@ func BenchmarkIncrementalVsScratch(b *testing.B) {
 	allocInc := testing.AllocsPerRun(1, func() { run(false) })
 
 	b.ReportAllocs()
-	b.ResetTimer()
 	var st core.Stats
-	for i := 0; i < b.N; i++ {
-		st = run(false)
-	}
-	b.StopTimer()
+	allocs := measure(b, func() { st = run(false) })
 	stScratch := run(true)
+	checkPinned(b, allocs, map[string]any{"incremental": st, "scratch": stScratch})
 
 	// SAT-core queries only: fast-path queries never blast regardless
 	// of mode, so they would flatter the ratio.
@@ -370,9 +378,12 @@ func BenchmarkIncrementalVsScratch(b *testing.B) {
 // reports per algorithm over the synthetic Debian-style archive.
 func BenchmarkFig17ReportsByAlgorithm(b *testing.B) {
 	var res *corpus.SweepResult
-	for i := 0; i < b.N; i++ {
-		res = sweepOnce(b, corpus.DefaultArchive)
-	}
+	allocs := measure(b, func() { res = sweepOnce(b, corpus.DefaultArchive) })
+	checkPinned(b, allocs, map[string]any{"figure": map[string]int{
+		"elimination":    res.ReportsByAlgo[core.AlgoElimination],
+		"boolean-oracle": res.ReportsByAlgo[core.AlgoSimplifyBool],
+		"algebra-oracle": res.ReportsByAlgo[core.AlgoSimplifyAlgebra],
+	}})
 	b.ReportMetric(float64(res.ReportsByAlgo[core.AlgoElimination]), "elimination")
 	b.ReportMetric(float64(res.ReportsByAlgo[core.AlgoSimplifyBool]), "boolean-oracle")
 	b.ReportMetric(float64(res.ReportsByAlgo[core.AlgoSimplifyAlgebra]), "algebra-oracle")
@@ -384,9 +395,7 @@ func BenchmarkFig17ReportsByAlgorithm(b *testing.B) {
 // dereference must dominate as in the paper.
 func BenchmarkFig18ReportsByUBKind(b *testing.B) {
 	var res *corpus.SweepResult
-	for i := 0; i < b.N; i++ {
-		res = sweepOnce(b, corpus.DefaultArchive)
-	}
+	allocs := measure(b, func() { res = sweepOnce(b, corpus.DefaultArchive) })
 	maxKind, maxN := core.UBKind(0), -1
 	for k, n := range res.ReportsByKind {
 		if n > maxN {
@@ -396,6 +405,12 @@ func BenchmarkFig18ReportsByUBKind(b *testing.B) {
 	if maxKind != core.UBNullDeref {
 		b.Fatalf("dominant kind %v, want null dereference (Fig. 18)", maxKind)
 	}
+	checkPinned(b, allocs, map[string]any{"figure": map[string]int{
+		"null-deref": res.ReportsByKind[core.UBNullDeref],
+		"buffer":     res.ReportsByKind[core.UBBufferOverflow],
+		"signed-int": res.ReportsByKind[core.UBSignedOverflow],
+		"pointer":    res.ReportsByKind[core.UBPointerOverflow],
+	}})
 	b.ReportMetric(float64(res.ReportsByKind[core.UBNullDeref]), "null-deref")
 	b.ReportMetric(float64(res.ReportsByKind[core.UBBufferOverflow]), "buffer")
 	b.ReportMetric(float64(res.ReportsByKind[core.UBSignedOverflow]), "signed-int")
@@ -407,9 +422,7 @@ func BenchmarkFig18ReportsByUBKind(b *testing.B) {
 // set (paper: 69,301 of ~71,880).
 func BenchmarkSec65MinimalUBSets(b *testing.B) {
 	var res *corpus.SweepResult
-	for i := 0; i < b.N; i++ {
-		res = sweepOnce(b, corpus.DefaultArchive)
-	}
+	allocs := measure(b, func() { res = sweepOnce(b, corpus.DefaultArchive) })
 	single, multi := res.MinSetHistogram[1], 0
 	for s, n := range res.MinSetHistogram {
 		if s > 1 {
@@ -419,6 +432,7 @@ func BenchmarkSec65MinimalUBSets(b *testing.B) {
 	if single <= multi {
 		b.Fatalf("single-condition sets (%d) should dominate multi (%d)", single, multi)
 	}
+	checkPinned(b, allocs, map[string]any{"figure": map[string]int{"single-cond-reports": single, "multi-cond-reports": multi}})
 	b.ReportMetric(float64(single), "single-cond-reports")
 	b.ReportMetric(float64(multi), "multi-cond-reports")
 }
@@ -427,9 +441,9 @@ func BenchmarkSec65MinimalUBSets(b *testing.B) {
 // checker must find exactly the seven the paper reports.
 func BenchmarkSec66Completeness(b *testing.B) {
 	var found int
-	for i := 0; i < b.N; i++ {
+	allocs := measure(b, func() {
 		found = 0
-		checker := core.New(checkerOpts())
+		checker := core.New(core.DefaultOptions)
 		for _, tc := range corpus.CompletenessSuite {
 			reports := mustCheck(b, checker, "c.c", tc.Source)
 			det := false
@@ -445,7 +459,8 @@ func BenchmarkSec66Completeness(b *testing.B) {
 		if found != 7 {
 			b.Fatalf("found %d/10, paper reports 7/10", found)
 		}
-	}
+	})
+	checkPinned(b, allocs, map[string]any{"figure": map[string]int{"found-of-10": found}})
 	b.ReportMetric(float64(found), "found-of-10")
 }
 
@@ -454,7 +469,7 @@ func BenchmarkSec66Completeness(b *testing.B) {
 // DESIGN.md design-choice index).
 func BenchmarkAblationNoMinUBSets(b *testing.B) {
 	sources := corpus.GenerateFig9()
-	opts := checkerOpts()
+	opts := core.DefaultOptions
 	opts.MinUBSets = false
 	for i := 0; i < b.N; i++ {
 		checker := core.New(opts)
@@ -468,7 +483,7 @@ func BenchmarkAblationNoMinUBSets(b *testing.B) {
 // inlining stage.
 func BenchmarkAblationNoInline(b *testing.B) {
 	sources := corpus.GenerateFig9()
-	opts := checkerOpts()
+	opts := core.DefaultOptions
 	opts.Inline = false
 	for i := 0; i < b.N; i++ {
 		checker := core.New(opts)
@@ -585,12 +600,12 @@ int chain%02d(int a, int b, char *buf, char *buf_end, unsigned int len) {
 // strictly lowers the terms the solver blasts and strictly raises the
 // hash-consing cache-hit rate; the differential gates elsewhere
 // guarantee the verdicts are identical, so this is pure effort
-// reduction. blast-reduction (legacy blasted terms over SSA blasted
-// terms) is the gated trajectory metric.
+// reduction. Both Stats are pinned, so blast-reduction (legacy blasted
+// terms over SSA blasted terms) is gated exactly.
 func BenchmarkSSAChainHeavy(b *testing.B) {
 	srcs := ssaChainSources(24)
 	run := func(ssa bool) core.Stats {
-		opts := checkerOpts()
+		opts := core.DefaultOptions
 		opts.SSA = ssa
 		checker := core.New(opts)
 		for _, s := range srcs {
@@ -601,10 +616,8 @@ func BenchmarkSSAChainHeavy(b *testing.B) {
 
 	legacy := run(false)
 	var st core.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st = run(true)
-	}
+	allocs := measure(b, func() { st = run(true) })
+	checkPinned(b, allocs, map[string]any{"ssa": st, "legacy": legacy})
 
 	if st.TermsBlasted >= legacy.TermsBlasted {
 		b.Fatalf("SSA did not reduce blasted terms: legacy %d, ssa %d", legacy.TermsBlasted, st.TermsBlasted)
@@ -677,12 +690,12 @@ int sccp%02d(int n, int a, int b) {
 // UB-carrying computations that hoisting lifts into the preheader.
 // The benchmark fails — not merely regresses — unless both passes
 // fire and SSA strictly lowers solver queries versus the legacy
-// pipeline. sccp-folded-branches and hoisted-ub-terms are the gated
-// trajectory metrics.
+// pipeline. Both Stats are pinned, so sccp-folded-branches,
+// hoisted-ub-terms and query-reduction are gated exactly.
 func BenchmarkSCCPBranchHeavy(b *testing.B) {
 	srcs := sccpBranchSources(24)
 	run := func(ssa bool) core.Stats {
-		opts := checkerOpts()
+		opts := core.DefaultOptions
 		opts.SSA = ssa
 		checker := core.New(opts)
 		for _, s := range srcs {
@@ -693,10 +706,8 @@ func BenchmarkSCCPBranchHeavy(b *testing.B) {
 
 	legacy := run(false)
 	var st core.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st = run(true)
-	}
+	allocs := measure(b, func() { st = run(true) })
+	checkPinned(b, allocs, map[string]any{"ssa": st, "legacy": legacy})
 
 	if st.SCCPFoldedBranches == 0 {
 		b.Fatalf("SCCP folded no branches on its own corpus: %+v", st)

@@ -92,9 +92,10 @@
 // to the legacy pipeline on the archive corpus (raced across worker
 // counts), per-pass fuzz oracles enforce each pass's contract on
 // arbitrary programs, scripts/invariants.sh refuses any pass lacking a
-// counter or an oracle, and the BENCH_9 checkpoint pins the
-// solver-work reduction (make ssa-differential runs the gate; it is
-// part of make ci).
+// counter or an oracle, and the pinned SSA and legacy rows of the
+// chain-heavy and branch-heavy benchmarks hold the solver-work
+// reduction exactly (make ssa-differential runs the gate; it is part
+// of make ci).
 //
 // Every counter is declared once, as a field of the internal
 // core.Stats that stack.Stats aliases. The field's tags carry its JSON
@@ -152,19 +153,16 @@
 // The benchmarks in bench_test.go regenerate every table and figure
 // of the paper's evaluation; see EXPERIMENTS.md for the index.
 //
-// # Benchmark trajectory
+// # Performance gates
 //
-// Performance is tracked as a machine-readable trajectory: committed
-// BENCH_<n>.json checkpoints produced by scripts/benchjson from the
-// trajectory benchmark set (Fig. 16 Kerberos, the parallel sweep,
-// incremental-vs-scratch solving, the SSA chain-heavy corpus, the SCCP
-// branch-heavy corpus, and the warm result-cache sweep), recording
-// ns/op, allocs/op, and every custom metric (queries-per-blast,
-// rewrite-hit-rate, cache-hit-rate, blast-reduction, speedup-vs-serial,
-// sccp-folded-branches, hoisted-ub-terms, warm-hit-rate). `make
-// bench-json` regenerates
-// the current checkpoint; `make bench-gate` — part of `make ci` —
-// reruns the set and fails on regression outside the tolerance bands
-// against the newest committed checkpoint. EXPERIMENTS.md documents
-// the schema, the bands, and how to read the checkpoint history.
+// The benchmarks run the shipped configuration, core.DefaultOptions.
+// The work they do is pinned exactly, in one table in pinned_test.go:
+// for each gated benchmark, its count rows (every core.Stats counter
+// but the scheduling-dependent ones, and the reproduced paper-figure
+// counts) and, for the `make bench-smoke` set, an allocs/op value it
+// may exceed by at most 1.02x. `make bench-smoke`, part of `make ci`,
+// runs that set once and fails on any count that moved. A change
+// that alters the work on purpose edits the table. Wall
+// clock is gated separately, by the paired runs of the bench/ module
+// (bench/README.md). EXPERIMENTS.md describes both.
 package repro

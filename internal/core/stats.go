@@ -1,6 +1,9 @@
 package core
 
-import "reflect"
+import (
+	"reflect"
+	"slices"
+)
 
 // Stats aggregates checker effort: the quantities of the paper's
 // Figure 16 (queries, timeouts), the counters of the word-level rewrite
@@ -12,8 +15,16 @@ import "reflect"
 // metric's help text (help tag); stack.Stats is an alias of this type,
 // stackd's /metrics exposition loops over the tags, and Add sums the
 // fields by reflection. Field order is the JSON key order and the
-// exposition order. Adding a counter therefore takes one tagged integer
-// field here plus the line that increments it.
+// exposition order.
+//
+// A class tag marks a counter that identity comparisons drop with
+// Without: class "sched" depends on how the work is spread over
+// workers, checkers or processes; class "effort" is solver effort,
+// which differs between incremental and scratch solving although
+// their output is identical. A counter without a class is the same
+// for any worker count and for either solving mode. Adding a counter
+// therefore takes one tagged integer field here, its class included,
+// plus the line that increments it.
 type Stats struct {
 	Functions int   `json:"functions" prom:"stackd_solver_functions_total" help:"Functions analyzed."`
 	Blocks    int   `json:"blocks" prom:"stackd_solver_blocks_total" help:"Basic blocks analyzed."`
@@ -30,20 +41,19 @@ type Stats struct {
 	// least one new term (so Queries/BlastPasses is the amortization
 	// ratio), and LearntsReused sums the learned clauses already
 	// available when each query started.
-	TermsBlasted  int64 `json:"termsBlasted" prom:"stackd_solver_terms_blasted_total" help:"Terms lowered to CNF."`
-	BlastPasses   int64 `json:"blastPasses" prom:"stackd_solver_blast_passes_total" help:"Queries that lowered at least one new term."`
-	LearntsReused int64 `json:"learntsReused" prom:"stackd_solver_learnts_reused_total" help:"Learned clauses retained across queries."`
+	TermsBlasted  int64 `json:"termsBlasted" prom:"stackd_solver_terms_blasted_total" help:"Terms lowered to CNF." class:"effort"`
+	BlastPasses   int64 `json:"blastPasses" prom:"stackd_solver_blast_passes_total" help:"Queries that lowered at least one new term." class:"effort"`
+	LearntsReused int64 `json:"learntsReused" prom:"stackd_solver_learnts_reused_total" help:"Learned clauses retained across queries." class:"effort"`
 	// CacheHits counts term constructions answered by the builder's
 	// hash-consing table (chain canonicalization exists to drive this
 	// up); LearntsDropped counts learned clauses discarded by the SAT
 	// layer's database reductions and session learnt budgets;
 	// ArenaBytesReused counts term-allocator bytes served from recycled
 	// slabs instead of fresh heap allocations (zero until a function has
-	// been checked on a warm arena). ArenaBytesReused depends on how work
-	// is spread over workers, so byte-identity checks zero it.
+	// been checked on a warm arena).
 	CacheHits        int64 `json:"cacheHits" prom:"stackd_solver_builder_cache_hits_total" help:"Term constructions answered by hash-consing."`
-	LearntsDropped   int64 `json:"learntsDropped" prom:"stackd_solver_learnts_dropped_total" help:"Learned clauses discarded by reductions and budgets."`
-	ArenaBytesReused int64 `json:"arenaBytesReused" prom:"stackd_solver_arena_bytes_reused_total" help:"Term-arena bytes served from recycled slabs."`
+	LearntsDropped   int64 `json:"learntsDropped" prom:"stackd_solver_learnts_dropped_total" help:"Learned clauses discarded by reductions and budgets." class:"effort"`
+	ArenaBytesReused int64 `json:"arenaBytesReused" prom:"stackd_solver_arena_bytes_reused_total" help:"Term-arena bytes served from recycled slabs." class:"sched"`
 	// SSA pass effort (all zero unless Options.SSA): PromotedAllocas
 	// counts address-taken variables mem2reg rewrote into SSA values,
 	// EliminatedStores counts stores deleted by promotion and dead-store
@@ -91,7 +101,7 @@ type Stats struct {
 	// assignment the function's session had stored from an earlier
 	// query, without blasting or CDCL search (see bv.Session). Like
 	// TermsBlasted it is effort: scratch solving keeps no assignments.
-	WitnessHits int64 `json:"witnessHits,omitempty" prom:"stackd_solver_witness_hits_total" help:"Queries answered Sat by a stored satisfying assignment, without search."`
+	WitnessHits int64 `json:"witnessHits,omitempty" prom:"stackd_solver_witness_hits_total" help:"Queries answered Sat by a stored satisfying assignment, without search." class:"effort"`
 }
 
 // Add accumulates other into s, field by field. It is the reduction
@@ -106,4 +116,16 @@ func (s *Stats) Add(other Stats) {
 		f := dst.Field(i)
 		f.SetInt(f.Int() + src.Field(i).Int())
 	}
+}
+
+// Without returns s with every field of the given classes zeroed (see
+// the class tag above).
+func (s Stats) Without(classes ...string) Stats {
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if slices.Contains(classes, v.Type().Field(i).Tag.Get("class")) {
+			v.Field(i).SetInt(0)
+		}
+	}
+	return s
 }
