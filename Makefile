@@ -104,13 +104,16 @@ bench:
 # fixed, at widths on both sides of 64 bits. FuzzSolveAssuming checks the
 # incremental SAT core (verdicts, models, failed assumptions and the
 # clause arena) against brute force, and FuzzVarHeap checks the VSIDS
-# heap's layout against the swap-based reference heap. The last four are the SSA
-# differential oracles: end-to-end byte identity of checker output
+# heap's layout against the swap-based reference heap.
+# FuzzPreprocessMatchesReference checks the single-buffer macro expander
+# against the copy-per-step reference expander: tokens, errors and
+# budget charges. The last four are the SSA differential oracles: end-to-end byte identity of checker output
 # keyed on SSASharpened, plus per-pass execution equivalence for SCCP,
 # loop-invariant UB hoisting, and cross-block GVN.
 fuzz-smoke:
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzPreprocessMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bv -run '^$$' -fuzz '^FuzzTermConstruction$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bv -run '^$$' -fuzz '^FuzzEvalMatchesBlast$$' -fuzztime $(FUZZTIME)

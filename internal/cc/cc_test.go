@@ -1,9 +1,11 @@
 package cc
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mustParse(t *testing.T, src string) *File {
@@ -193,6 +195,69 @@ func TestPreprocessBudgetSparesMacroFreeTokens(t *testing.T) {
 	}
 	if pp.expansions == 0 {
 		t.Fatal("macro body tokens not charged to the budget")
+	}
+}
+
+// wantNestingError fails t unless err is the named *Error for the
+// nesting bound msg.
+func wantNestingError(t *testing.T, err error, msg string) {
+	t.Helper()
+	var e *Error
+	if !errors.As(err, &e) || e.Msg != fmt.Sprintf(msg, maxMacroDepth) {
+		t.Fatalf("error %v, want %q", err, fmt.Sprintf(msg, maxMacroDepth))
+	}
+}
+
+// TestPreprocessNestedArgumentsBounded: F(F(…F(1)…)) nested 8,000 deep
+// is 24 KB of source, yet expanding every argument level by copying
+// needed gigabytes. The argument nesting bound rejects it at once.
+func TestPreprocessNestedArgumentsBounded(t *testing.T) {
+	src := nestedCalls(8000)
+	start := time.Now()
+	_, err := NewPreprocessor().Preprocess("nested.c", src)
+	wantNestingError(t, err, "macro argument nested deeper than %d")
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("rejecting %d bytes took %v", len(src), d)
+	}
+}
+
+// TestPreprocessChainDepthBounded: 200,000 object-like macros, each
+// expanding to the next, nest expansions 200,000 deep. The expansion
+// nesting bound rejects the chain at link 257. Only expansion is
+// timed; tokenizing the 4.6 MB source is linear and untouched by it.
+func TestPreprocessChainDepthBounded(t *testing.T) {
+	toks, err := Tokenize("chain.c", defineChain(200000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp := NewPreprocessor()
+	start := time.Now()
+	_, err = pp.run(toks, pp.expandSource)
+	wantNestingError(t, err, "macro expansion nested deeper than %d")
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("rejecting the chain took %v", d)
+	}
+	// Both bounds admit nesting up to maxMacroDepth itself.
+	for _, src := range []string{nestedCalls(maxMacroDepth), defineChain(maxMacroDepth)} {
+		if _, err := NewPreprocessor().Preprocess("deep.c", src); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPreprocessAllocs: expanding the macro-heavy benchmark's MIX
+// chain allocates per file, not per token or per expansion step. The
+// copy-per-step expander made 38,121 allocations here, the
+// single-buffer one 82 (go1.24.0, linux/amd64), tokenizing included.
+func TestPreprocessAllocs(t *testing.T) {
+	src := mixChain(48)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := NewPreprocessor().Preprocess("mix.c", src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 128 {
+		t.Fatalf("preprocessing the MIX chain made %.0f allocations, ceiling 128", allocs)
 	}
 }
 

@@ -9,6 +9,8 @@ package cc
 // ordinary tests.
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,32 @@ var fuzzSeeds = []string{
 	"/* comment */ // line\nchar c = 'x'; char *s = \"str\\n\";\n",
 	"#define A B\n#define B A\nint x = A;\n",
 	"int f() { return 0x7fffffff + 1; }\n",
+}
+
+// depthSeeds are short inputs at and past the frontend's nesting
+// depths: macro arguments nested past maxMacroDepth, a macro chain
+// just under it, and parentheses nested past it without macros.
+var depthSeeds = []string{
+	nestedCalls(300),
+	defineChain(200),
+	"int f(int x) { return " + strings.Repeat("(", 300) + "x" + strings.Repeat(")", 300) + "; }\n",
+}
+
+// nestedCalls returns a file nesting F(...) depth levels deep, F an
+// identity macro.
+func nestedCalls(depth int) string {
+	return "#define F(x) x\nint a = " + strings.Repeat("F(", depth) + "1" + strings.Repeat(")", depth) + ";\n"
+}
+
+// defineChain returns a file of n object-like macros, each expanding
+// to the next, and one use of the first.
+func defineChain(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "#define A%d A%d\n", i, i+1)
+	}
+	b.WriteString("int x = A0;\n")
+	return b.String()
 }
 
 // FuzzTokenize: the lexer must terminate with an error or a
@@ -61,7 +89,7 @@ func FuzzTokenize(f *testing.F) {
 // the recursion guard and the runaway-expansion budget) must never
 // panic or blow up.
 func FuzzPreprocess(f *testing.F) {
-	for _, s := range fuzzSeeds {
+	for _, s := range slices.Concat(fuzzSeeds, depthSeeds) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -83,7 +111,7 @@ func FuzzPreprocess(f *testing.F) {
 // checker without panicking (errors are fine — panics and hangs are
 // the bugs this target hunts).
 func FuzzParse(f *testing.F) {
-	for _, s := range fuzzSeeds {
+	for _, s := range slices.Concat(fuzzSeeds, depthSeeds) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

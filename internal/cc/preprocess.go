@@ -21,6 +21,19 @@ type Macro struct {
 // macro expansion is tagged with the macro's name in Token.Origin, so
 // that later stages can suppress warnings for compiler-generated code
 // exactly as STACK does (paper §4.2).
+//
+// Expansion appends each output token once, straight into the output
+// (or into the body buffer of the invocation being built). Rescanning a
+// macro body hides the macro's own name through a linked hide list that
+// shares its tail with the caller's, so a level costs one node. Within
+// one invocation each argument is expanded at the first use of its
+// parameter and copied at later uses; a reuse charges the expansion
+// budget what the first expansion was charged, so the budget counts
+// every expansion step as if the argument had been expanded again.
+// Body buffers come from a free list, so nested expansions reuse
+// memory. Two bounds of maxMacroDepth turn deep inputs into errors:
+// the nesting of expansions in progress (argument expansion included)
+// and the parenthesis depth inside one invocation's argument list.
 type Preprocessor struct {
 	Macros map[string]*Macro
 	// expansions counts tokens flowing through expansion rescans within
@@ -30,11 +43,19 @@ type Preprocessor struct {
 	// into an error instead of an out-of-memory. Top-level source
 	// tokens are never charged; only expansion-produced ones.
 	expansions int
+	depth      int        // expansions in progress
+	args       []macroArg // arguments of the invocations in progress
+	free       [][]Token  // released body buffers
 }
 
 // maxMacroExpansions bounds the number of expansion steps per
 // translation unit; orders of magnitude above any legitimate input.
 const maxMacroExpansions = 1 << 20
+
+// maxMacroDepth bounds the nesting of macro expansions in progress and
+// the parenthesis depth of a macro argument list; far above the 5
+// levels of the deepest macro chains the benchmark generates.
+const maxMacroDepth = 256
 
 // NewPreprocessor returns a preprocessor with no predefined macros.
 func NewPreprocessor() *Preprocessor {
@@ -47,12 +68,21 @@ func (pp *Preprocessor) Preprocess(file, src string) ([]Token, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pp.run(toks)
+	return pp.run(toks, pp.expandSource)
 }
 
-// lineOf groups raw tokens into directive lines vs. ordinary tokens.
-func (pp *Preprocessor) run(toks []Token) ([]Token, error) {
-	pp.expansions = 0
+// expandSource appends the expansion of the source token at toks[i]
+// to out.
+func (pp *Preprocessor) expandSource(out, toks []Token, i int) ([]Token, int, error) {
+	return pp.expand(out, toks, i, nil)
+}
+
+// run interprets the directive lines of toks and hands each active
+// ordinary token to expand, which appends its expansion to out and
+// returns the number of tokens consumed. The tests pass the reference
+// expander here.
+func (pp *Preprocessor) run(toks []Token, expand func(out, toks []Token, i int) ([]Token, int, error)) ([]Token, error) {
+	pp.expansions, pp.depth, pp.args = 0, 0, pp.args[:0]
 	var out []Token
 	// Conditional-inclusion stack: each entry records whether the
 	// current branch is active and whether any branch was taken.
@@ -141,11 +171,11 @@ func (pp *Preprocessor) run(toks []Token) ([]Token, error) {
 			continue
 		}
 		// Ordinary token: macro-expand.
-		exp, n, err := pp.expand(toks, i, nil)
-		if err != nil {
+		var n int
+		var err error
+		if out, n, err = expand(out, toks, i); err != nil {
 			return nil, err
 		}
-		out = append(out, exp...)
 		i += n
 	}
 	if len(out) == 0 || out[len(out)-1].Kind != TokEOF {
@@ -213,102 +243,160 @@ func (pp *Preprocessor) define(line []Token, pos Pos) error {
 	return nil
 }
 
-// expand expands the macro invocation (if any) at toks[i]. It returns
-// the expansion, the number of input tokens consumed, and an error.
-// hide is the set of macro names not to re-expand (recursion guard).
-func (pp *Preprocessor) expand(toks []Token, i int, hide map[string]bool) ([]Token, int, error) {
+// hideSet is the set of macro names not to re-expand (the recursion
+// guard): an immutable list whose tail is the caller's set, so a macro
+// level adds its name without copying the names it inherits.
+type hideSet struct {
+	name string
+	next *hideSet
+}
+
+func (h *hideSet) has(name string) bool {
+	for ; h != nil; h = h.next {
+		if h.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// macroArg is one argument of a function-like invocation in progress.
+type macroArg struct {
+	toks       []Token // the argument as written, a sub-slice of the invocation
+	done       bool    // its expansion sits at body[start:end]
+	start, end int
+	charge     int // expansion steps that expansion was charged
+}
+
+// expand appends the expansion of the macro invocation (if any) at
+// toks[i] to dst. It returns the extended dst and the number of input
+// tokens consumed.
+func (pp *Preprocessor) expand(dst, toks []Token, i int, hide *hideSet) ([]Token, int, error) {
 	t := toks[i]
 	if t.Kind != TokIdent {
-		return []Token{t}, 1, nil
+		return append(dst, t), 1, nil
 	}
 	m := pp.Macros[t.Text]
-	if m == nil || hide[t.Text] {
-		return []Token{t}, 1, nil
+	if m == nil || hide.has(t.Text) {
+		return append(dst, t), 1, nil
 	}
+	// A function-like name without '(' next is left as it is.
+	if m.Params != nil && (i+1 >= len(toks) || !toks[i+1].Is("(")) {
+		return append(dst, t), 1, nil
+	}
+	if pp.depth == maxMacroDepth {
+		return dst, 0, errf(t.Pos, "macro expansion nested deeper than %d", maxMacroDepth)
+	}
+	pp.depth++
 	origin := t.Origin
 	if origin == "" {
 		origin = m.Name
 	}
+	body := pp.buffer()
+	n := 1
 	if m.Params == nil {
-		// Object-like.
-		body := retag(m.Body, t.Pos, origin)
-		return pp.rescan(body, childHide(hide, m.Name))
-	}
-	// Function-like: require '(' next; otherwise leave the identifier.
-	if i+1 >= len(toks) || !toks[i+1].Is("(") {
-		return []Token{t}, 1, nil
-	}
-	args, consumed, err := parseMacroArgs(toks, i+1)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !m.Variadic && len(args) != len(m.Params) && !(len(m.Params) == 0 && len(args) == 1 && len(args[0]) == 0) {
-		return nil, 0, errf(t.Pos, "macro %s expects %d args, got %d", m.Name, len(m.Params), len(args))
-	}
-	argMap := make(map[string][]Token, len(m.Params))
-	for k, p := range m.Params {
-		if k < len(args) {
-			argMap[p] = args[k]
-		} else {
-			argMap[p] = nil
+		for _, bt := range m.Body {
+			body = append(body, retag(bt, t.Pos, origin))
+		}
+	} else {
+		var err error
+		if body, n, err = pp.substitute(body, m, toks, i, hide, origin); err != nil {
+			return dst, 0, err
 		}
 	}
-	var body []Token
+	dst, err := pp.rescanAll(dst, body, &hideSet{m.Name, hide})
+	pp.free = append(pp.free, body[:0])
+	pp.depth--
+	return dst, n, err
+}
+
+// substitute appends to body the expansion of m's body for the
+// invocation of m at toks[i], each parameter replaced by its argument
+// macro-expanded under the caller's hide set (an approximation of C99
+// without the # and ## operators). It returns the extended body and
+// the number of tokens the invocation spans.
+func (pp *Preprocessor) substitute(body []Token, m *Macro, toks []Token, i int, hide *hideSet, origin string) ([]Token, int, error) {
+	pos := toks[i].Pos
+	base := len(pp.args)
+	var consumed int
+	var err error
+	if pp.args, consumed, err = parseMacroArgs(pp.args, toks, i+1); err != nil {
+		return body, 0, err
+	}
+	nargs := len(pp.args) - base
+	if !m.Variadic && nargs != len(m.Params) && !(len(m.Params) == 0 && nargs == 1 && len(pp.args[base].toks) == 0) {
+		return body, 0, errf(pos, "macro %s expects %d args, got %d", m.Name, len(m.Params), nargs)
+	}
 	for _, bt := range m.Body {
-		if bt.Kind == TokIdent {
-			if arg, ok := argMap[bt.Text]; ok {
-				// Arguments are themselves macro-expanded before
-				// substitution (approximation of C99 semantics
-				// without # and ## operators).
-				expArg, err := pp.expandAll(arg, hide)
-				if err != nil {
-					return nil, 0, err
-				}
-				body = append(body, retag(expArg, t.Pos, origin)...)
-				continue
+		k := paramIndex(m, bt)
+		switch {
+		case k < 0:
+			body = append(body, retag(bt, pos, origin))
+		case k >= nargs:
+			// A parameter with no argument expands to nothing.
+		case pp.args[base+k].done && pp.expansions+pp.args[base+k].charge <= maxMacroExpansions:
+			// Reuse the first expansion and charge the budget as if
+			// the argument had been expanded again.
+			a := pp.args[base+k]
+			pp.expansions += a.charge
+			body = append(body, body[a.start:a.end]...)
+		default:
+			// First use, or a reuse that would exhaust the budget:
+			// expanding again reports the error at the same token.
+			start, before := len(body), pp.expansions
+			if body, err = pp.rescanAll(body, pp.args[base+k].toks, hide); err != nil {
+				return body, 0, err
 			}
+			for j := start; j < len(body); j++ {
+				body[j] = retag(body[j], pos, origin)
+			}
+			a := &pp.args[base+k]
+			a.done, a.start, a.end, a.charge = true, start, len(body), pp.expansions-before
 		}
-		body = append(body, bt)
 	}
-	body = retag(body, t.Pos, origin)
-	exp, _, err2 := pp.rescanAll(body, childHide(hide, m.Name))
-	if err2 != nil {
-		return nil, 0, err2
-	}
-	return exp, 1 + consumed, nil
+	pp.args = pp.args[:base]
+	return body, 1 + consumed, nil
 }
 
-func childHide(hide map[string]bool, name string) map[string]bool {
-	ch := make(map[string]bool, len(hide)+1)
-	for k := range hide {
-		ch[k] = true
+// paramIndex returns the index of the parameter of m that t names, or
+// -1. A name listed twice means its last position.
+func paramIndex(m *Macro, t Token) int {
+	if t.Kind != TokIdent {
+		return -1
 	}
-	ch[name] = true
-	return ch
-}
-
-// retag stamps position and origin onto expanded tokens (first origin
-// wins so nested expansions report the outermost user-written macro).
-func retag(body []Token, pos Pos, origin string) []Token {
-	out := make([]Token, len(body))
-	for i, b := range body {
-		b.Pos = pos
-		if b.Origin == "" {
-			b.Origin = origin
+	for k := len(m.Params) - 1; k >= 0; k-- {
+		if m.Params[k] == t.Text {
+			return k
 		}
-		out[i] = b
 	}
-	return out
+	return -1
 }
 
-// rescan re-expands an object-like macro body.
-func (pp *Preprocessor) rescan(body []Token, hide map[string]bool) ([]Token, int, error) {
-	out, _, err := pp.rescanAll(body, hide)
-	return out, 1, err
+// retag stamps position and origin onto an expanded token (first
+// origin wins so nested expansions report the outermost user-written
+// macro).
+func retag(t Token, pos Pos, origin string) Token {
+	t.Pos = pos
+	if t.Origin == "" {
+		t.Origin = origin
+	}
+	return t
 }
 
-func (pp *Preprocessor) rescanAll(body []Token, hide map[string]bool) ([]Token, int, error) {
-	var out []Token
+// buffer returns an empty token buffer, reusing one that an earlier
+// expansion released.
+func (pp *Preprocessor) buffer() []Token {
+	n := len(pp.free)
+	if n == 0 {
+		return nil
+	}
+	b := pp.free[n-1]
+	pp.free = pp.free[:n-1]
+	return b
+}
+
+// rescanAll appends the expansion of every token of body to dst.
+func (pp *Preprocessor) rescanAll(dst, body []Token, hide *hideSet) ([]Token, error) {
 	for i := 0; i < len(body); {
 		// Every token here was produced by an expansion (top-level
 		// source tokens never pass through a rescan), so charging the
@@ -317,57 +405,45 @@ func (pp *Preprocessor) rescanAll(body []Token, hide map[string]bool) ([]Token, 
 		// recursive doubling chains ("billion laughs") hit the ceiling
 		// long before exhausting memory.
 		if pp.expansions++; pp.expansions > maxMacroExpansions {
-			return nil, 0, errf(body[i].Pos, "macro expansion exceeds %d tokens (runaway expansion)", maxMacroExpansions)
+			return dst, errf(body[i].Pos, "macro expansion exceeds %d tokens (runaway expansion)", maxMacroExpansions)
 		}
-		exp, n, err := pp.expand(body, i, hide)
-		if err != nil {
-			return nil, 0, err
+		var n int
+		var err error
+		if dst, n, err = pp.expand(dst, body, i, hide); err != nil {
+			return dst, err
 		}
-		out = append(out, exp...)
 		i += n
 	}
-	return out, len(body), nil
+	return dst, nil
 }
 
-func (pp *Preprocessor) expandAll(toks []Token, hide map[string]bool) ([]Token, error) {
-	out, _, err := pp.rescanAll(toks, hide)
-	return out, err
-}
-
-// parseMacroArgs parses "(arg, arg, ...)" starting at the '(' token,
-// honoring nested parentheses. It returns the args and tokens consumed
-// including both parens.
-func parseMacroArgs(toks []Token, open int) ([][]Token, int, error) {
+// parseMacroArgs appends the arguments of the "(arg, arg, ...)" list
+// starting at the '(' token toks[open] to args, each a sub-slice of
+// toks. It returns the extended args and the number of tokens the list
+// spans, both parentheses included.
+func parseMacroArgs(args []macroArg, toks []Token, open int) ([]macroArg, int, error) {
 	depth := 0
-	var args [][]Token
-	var cur []Token
-	i := open
-	for ; i < len(toks); i++ {
+	start := open + 1
+	for i := open; i < len(toks); i++ {
 		t := toks[i]
 		if t.Kind == TokEOF {
 			break
 		}
 		switch {
 		case t.Is("("):
-			depth++
-			if depth > 1 {
-				cur = append(cur, t)
+			if depth++; depth > maxMacroDepth {
+				return args, 0, errf(t.Pos, "macro argument nested deeper than %d", maxMacroDepth)
 			}
 		case t.Is(")"):
-			depth--
-			if depth == 0 {
-				args = append(args, cur)
-				return args, i - open + 1, nil
+			if depth--; depth == 0 {
+				return append(args, macroArg{toks: toks[start:i:i]}), i - open + 1, nil
 			}
-			cur = append(cur, t)
 		case t.Is(",") && depth == 1:
-			args = append(args, cur)
-			cur = nil
-		default:
-			cur = append(cur, t)
+			args = append(args, macroArg{toks: toks[start:i:i]})
+			start = i + 1
 		}
 	}
-	return nil, 0, errf(toks[open].Pos, "unterminated macro argument list")
+	return args, 0, errf(toks[open].Pos, "unterminated macro argument list")
 }
 
 // String renders the macro table, for debugging.

@@ -150,6 +150,26 @@ func TestAnalyzeRejections(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsNestedMacroArguments: a 24 KB source nesting an
+// identity macro's arguments 8,000 deep, well under the default body
+// cap, is a frontend rejection (422) naming the nesting bound, not a
+// process-wide out-of-memory.
+func TestAnalyzeRejectsNestedMacroArguments(t *testing.T) {
+	srv := newTestServer(Options{})
+	src := "#define F(x) x\nint a = " + strings.Repeat("F(", 8000) + "1" + strings.Repeat(")", 8000) + ";\n"
+	body, err := json.Marshal(map[string]string{"name": "nested.c", "source": src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := doJSON(t, srv, http.MethodPost, "/v1/analyze", string(body))
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422 (body %s)", w.Code, w.Body.String())
+	}
+	if !strings.Contains(w.Body.String(), "macro argument nested deeper than 256") {
+		t.Errorf("error body %s does not name the nesting bound", w.Body.String())
+	}
+}
+
 func TestAnalyzeSaturation(t *testing.T) {
 	srv := newTestServer(Options{MaxConcurrent: 1})
 	// Occupy the only slot, as a long-running analysis would.
