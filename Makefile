@@ -32,8 +32,10 @@ vulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)" ; \
 	fi
 
-# Structural invariants (one emitter; append-only diagnostic codes),
-# plus the script's own self-test proving the checks can fail.
+# Structural invariants (one emitter; append-only diagnostic codes;
+# complete cache fingerprint; accounted SSA passes; one per-file
+# pipeline), plus the script's own self-test proving the checks can
+# fail.
 invariants:
 	./scripts/invariants.sh
 	./scripts/invariants.sh --self-test

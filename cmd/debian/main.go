@@ -13,11 +13,12 @@
 //
 // With -perf it instead runs the three Figure 16 package profiles
 // (Kerberos-, Postgres-, and Linux-sized) and prints the table rows.
-// -j sets the sweep worker count (default: one per CPU). All counts
-// and reports in the output are identical for any value, as long as no
-// query hits the -timeout deadline (default 5s, as in the paper; see
-// corpus.Sweeper); only the build/analysis timing line varies, being a
-// measured duration. -max-conflicts optionally bounds per-query solver
+// -j sets the number of sweep workers, each checking one file at a
+// time (default: one per CPU). All counts and reports in the output
+// are identical for any value, as long as no query hits the -timeout
+// deadline (default 5s, as in the paper; see the internal/corpus
+// package documentation); only the build/analysis timing line varies,
+// being a wall-clock sum over workers. -max-conflicts optionally bounds per-query solver
 // effort deterministically instead.
 //
 // -stream renders each file's results through a sink the moment the

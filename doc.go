@@ -34,7 +34,11 @@
 // classic CLI stream. All of that streaming rides one deterministic
 // in-order emitter (internal/emit): an admission window bounds
 // buffering at O(workers) and delivery is strictly increasing by
-// input index, for any worker count.
+// input index, for any worker count. Every in-process entry point runs
+// one per-file function (cache lookup, frontend, checker, cache store),
+// and the batch and archive runs share one worker pool around it, so
+// they share one error rule: the first error in input order stops the
+// run and names its source, after every earlier file is delivered.
 //
 // # Remote and sharded analysis
 //

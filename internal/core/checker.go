@@ -137,7 +137,7 @@ var DefaultOptions = Options{
 // Checker is the STACK checker. Create with New; safe for sequential
 // reuse across programs. A Checker is NOT safe for concurrent use: its
 // stats accumulate without locks by design. Concurrent callers (see
-// corpus.Sweeper) create one Checker per goroutine and merge the
+// corpus.Sweeper.Check) create one Checker per worker and merge the
 // results with Stats.Add.
 type Checker struct {
 	opts  Options

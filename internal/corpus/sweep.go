@@ -3,29 +3,33 @@ package corpus
 // Whole-archive sweeping. The paper ran its checker over all 8,575
 // Debian Wheezy packages on a 16-core Xeon (§6.4); checking distinct
 // files is embarrassingly parallel because each function gets a fresh
-// builder and solver, so Sweeper fans the archive out over a two-stage
-// worker pipeline:
+// builder and solver. Every in-process analysis — the archive sweep,
+// stack.Analyzer.CheckSources, and stack.Analyzer.CheckSource — runs
+// one per-file function, CheckFile:
 //
-//	feeder → [build workers: preprocess → parse → typecheck → IR]
-//	       → [check workers: one core.Checker + bv solver each]
-//	       → indexed result slice → deterministic merge
+//	cache lookup → preprocess → parse → typecheck → IR → check → cache store
+//
+// Sweeper.Check fans files out over a single-stage pool: each worker
+// owns one core.Checker and runs CheckFile on one file after another,
+// and finished files are re-sequenced into input order by the shared
+// deterministic in-order emitter (emit.Ordered):
+//
+//	feeder → [workers: CheckFile, one core.Checker each] → emit.Ordered → deliver
 //
 // Per-worker state is fully isolated — stats accumulate lock-free in
 // each worker's Checker and are reduced with core.Stats.Add at the end
-// — and per-file results are re-sequenced into archive order by the
-// shared deterministic in-order emitter (emit.Ordered) before they
-// touch the aggregate, so
-// every count and report in the merged SweepResult (including the
-// sorted report log) is byte-identical for any worker count. The only
-// fields outside that guarantee are BuildTime and AnalysisTime, which
-// are wall-clock sums over workers and vary run to run like any
-// measured duration.
+// — and results reach the caller strictly in input order, so every
+// count and report in the merged SweepResult (including the sorted
+// report log) is byte-identical for any worker count. The only fields
+// outside that guarantee are BuildTime and AnalysisTime, which are
+// wall-clock sums over workers and vary run to run like any measured
+// duration.
 //
-// Results stream: check workers hand each finished file to the emitter
-// over a bounded channel, the emitter holds only the out-of-order files
+// Results stream: the emitter holds only the out-of-order files
 // currently in flight (O(Workers), not O(archive)), and the aggregate —
-// plus the caller's RunStream callback, if any — consumes files
-// strictly in archive order.
+// plus the caller's Stream callback, if any — consumes files
+// strictly in archive order. The first error in input order stops the
+// pool: files before it are all delivered, files after it never are.
 //
 // One caveat bounds that guarantee: it assumes each solver query's
 // verdict is itself reproducible. With Options.Timeout set, a query
@@ -44,6 +48,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cc"
@@ -52,14 +57,16 @@ import (
 	"repro/internal/ir"
 )
 
-// Sweeper configures a whole-archive run.
+// Sweeper configures the per-file pipeline and its worker pool: an
+// archive sweep, a batch of sources, or a single file.
 type Sweeper struct {
 	// Options configures each per-worker checker.
 	Options core.Options
-	// Workers sets the number of goroutines per pipeline stage;
-	// values <= 0 mean runtime.GOMAXPROCS(0). All counts and reports
-	// are identical for every worker count (see the package caveats on
-	// timing fields and wall-clock query timeouts).
+	// Workers sets the number of pool workers, each running CheckFile
+	// on one file at a time with its own core.Checker; values <= 0
+	// mean runtime.GOMAXPROCS(0). All counts and reports are identical
+	// for every worker count (see the package caveats on timing fields
+	// and wall-clock query timeouts).
 	Workers int
 	// Cache, when non-nil, is consulted per file before the frontend
 	// runs: a hit delivers the cached reports straight to the in-order
@@ -72,18 +79,25 @@ type Sweeper struct {
 	Cache ResultCache
 }
 
+// Source is one named C translation unit for Check.
+type Source struct {
+	Name string
+	Text string
+}
+
 // FileReport pairs a report with the archive file that produced it.
 type FileReport struct {
 	File   string
 	Report *core.Report
 }
 
-// FileResult is one archive file's finished analysis, as delivered to
-// RunStream callbacks in archive order.
+// FileResult is one file's finished analysis, as CheckFile returns it
+// and as Check and Stream deliver it in input order.
 type FileResult struct {
-	// Index is the file's position in the archive; callbacks observe
+	// Index is the file's position in the input; callbacks observe
 	// strictly increasing indices 0, 1, 2, ...
-	Index        int
+	Index int
+	// Package is set by the archive sweep only.
 	Package      string
 	File         string
 	Functions    int
@@ -124,246 +138,222 @@ func Sweep(ctx context.Context, pkgs []Package, opts core.Options) (*SweepResult
 	return (&Sweeper{Options: opts}).Run(ctx, pkgs)
 }
 
-// fileJob is one archive file, numbered by archive position.
-type fileJob struct {
-	idx    int // global file index; fixes the emit order
-	pkgIdx int
-	name   string
-	src    string
-}
-
-// builtUnit is a fileJob after the frontend stage.
-type builtUnit struct {
-	fileJob
-	prog      *ir.Program
-	buildTime time.Duration
-}
-
-// fileResult is the check stage's output for one file.
-type fileResult struct {
-	idx          int
-	pkgIdx       int
-	name         string
-	funcs        int
-	reports      []*core.Report
-	buildTime    time.Duration
-	analysisTime time.Duration
-}
-
-func makeJobs(pkgs []Package) []fileJob {
-	var jobs []fileJob
-	for pi, p := range pkgs {
-		for fi, src := range p.Files {
-			jobs = append(jobs, fileJob{
-				idx:    len(jobs),
-				pkgIdx: pi,
-				name:   fmt.Sprintf("%s_%d.c", p.Name, fi),
-				src:    src,
-			})
-		}
+// CheckFile is the per-file pipeline: cache lookup, then the frontend
+// (preprocess, parse, typecheck, IR build) and checker.CheckProgram,
+// then cache store. checker accumulates the analysis effort; st
+// receives the cache traffic and, on a hit, the replayed shape
+// counters. Once ctx is done CheckFile returns ctx's error without
+// starting; other errors are returned as the frontend or checker
+// produced them, without the file name. The result's Index and
+// Package are left for the caller.
+func (s *Sweeper) CheckFile(ctx context.Context, checker *core.Checker, st *core.Stats, name, src string) (FileResult, error) {
+	fr := FileResult{File: name}
+	if ctx != nil && ctx.Err() != nil {
+		return fr, ctx.Err()
 	}
-	return jobs
-}
-
-func (s *Sweeper) workerCount() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Run sweeps the archive through the parallel pipeline and returns the
-// merged result (RunStream without a per-file callback). Cancelling
-// ctx shuts the pipeline down without deadlock — each in-flight solver
-// query returns within one check interval — and Run returns ctx's
-// error.
-func (s *Sweeper) Run(ctx context.Context, pkgs []Package) (*SweepResult, error) {
-	return s.RunStream(ctx, pkgs, nil)
-}
-
-// RunStream sweeps the archive and additionally calls emitFn (if
-// non-nil) once per file, in archive order, as soon as the file and
-// every earlier one have been checked — long before the whole archive
-// finishes. Results never accumulate beyond the files currently in
-// flight, so memory is O(Workers) regardless of archive size. emitFn
-// runs on the emitter goroutine; a slow callback backpressures the
-// pipeline rather than growing a buffer. The returned SweepResult is
-// byte-identical to Run's for any worker count.
-//
-// The in-order re-sequencing itself is emit.Ordered — the one shared
-// emitter implementation — with the feeder acquiring an admission slot
-// per file, so no more than 4*Workers files ever sit between the
-// feeder and delivery, even when one pathological file stalls a
-// checker while every other worker races ahead.
-func (s *Sweeper) RunStream(ctx context.Context, pkgs []Package, emitFn func(FileResult)) (*SweepResult, error) {
-	workers := s.workerCount()
-	acc := newAccumulator(pkgs)
-	ord := emit.NewOrdered(4*workers, func(_ int, fr fileResult) {
-		acc.add(fr)
-		if emitFn != nil {
-			emitFn(FileResult{
-				Index:        fr.idx,
-				Package:      pkgs[fr.pkgIdx].Name,
-				File:         fr.name,
-				Functions:    fr.funcs,
-				Reports:      fr.reports,
-				BuildTime:    fr.buildTime,
-				AnalysisTime: fr.analysisTime,
-			})
+	t0 := time.Now()
+	if s.Cache != nil {
+		if cf, ok := s.Cache.Lookup(name, src); ok {
+			cf.ReplayHit(st)
+			fr.Functions, fr.Reports, fr.BuildTime = cf.Functions, cf.Reports, time.Since(t0)
+			return fr, nil
 		}
-	})
-	workerStats, err := s.runPipeline(ctx, pkgs, workers, ord.Admit, func(r fileResult) { ord.Put(r.idx, r) })
-	ord.Close()
+		st.CacheResultMisses++
+	}
+	file, err := cc.Parse(name, src)
 	if err != nil {
-		return nil, err
+		return fr, err
 	}
-	return acc.finish(workerStats), nil
+	if err := cc.Check(file); err != nil {
+		return fr, err
+	}
+	prog, err := ir.Build(file)
+	if err != nil {
+		return fr, err
+	}
+	fr.Functions = len(prog.Funcs)
+	fr.BuildTime = time.Since(t0)
+
+	before := checker.Stats()
+	t1 := time.Now()
+	if fr.Reports, err = checker.CheckProgram(ctx, prog); err != nil {
+		return fr, err
+	}
+	if s.Cache != nil {
+		// The shape deltas come from the checker's own books: exactly
+		// what a warm hit must replay.
+		after := checker.Stats()
+		s.Cache.Store(name, src, CachedFile{
+			Functions: after.Functions - before.Functions,
+			Blocks:    after.Blocks - before.Blocks,
+			Reports:   fr.Reports,
+		})
+	}
+	fr.AnalysisTime = time.Since(t1)
+	return fr, nil
 }
 
-// runPipeline runs the feeder→build→check stages over the archive,
-// invoking deliver from check workers (possibly concurrently) for each
-// finished file. The feeder calls admit per file before feeding (the
-// emitter's admission window; slots free as delivery advances),
-// bounding the files in flight. It returns the per-worker checker
-// stats and the first error; on error the pipeline shuts down without deadlocking (feeder and builders select on the
-// stop channel — which admit also observes) and undelivered files are
-// simply absent.
-func (s *Sweeper) runPipeline(ctx context.Context, pkgs []Package, workers int, admit func(stop <-chan struct{}) bool, deliver func(fileResult)) ([]core.Stats, error) {
+// Check runs every file through CheckFile on the worker pool and calls
+// deliver once per file, in input order, as soon as that file and
+// every earlier one have finished. deliver runs on one goroutine, so
+// it needs no lock; a slow deliver backpressures the pool through the
+// emitter's admission window (4*Workers files in flight) rather than
+// growing a buffer. It returns the checker and cache counters summed
+// over the workers, covering every file that was analyzed.
+//
+// The first error in input order — from a file, annotated with its
+// name, or from deliver itself — stops the pool and is returned: every
+// earlier file has been delivered, no later one is. Once ctx is done
+// no further file starts; in-flight solver queries return within one
+// check interval, and Check returns ctx's error.
+func (s *Sweeper) Check(ctx context.Context, files []Source, deliver func(FileResult) error) (core.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	jobs := makeJobs(pkgs)
-	workerStats := make([]core.Stats, workers) // lock-free per-worker accumulation
-	cacheStats := make([]core.Stats, workers)  // per-build-worker cache traffic, same reduction
+	workers := s.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(files))
+	if workers == 0 {
+		return core.Stats{}, nil
+	}
 
-	jobCh := make(chan fileJob)
-	builtCh := make(chan builtUnit, workers)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	defer close(done)
+	type outcome struct {
+		fr  FileResult
+		err error
+	}
+	// failed is the smallest index known to have failed. Only strictly
+	// later files are skipped, so every file before the first error is
+	// analyzed and delivered; skipped files still Put an empty outcome,
+	// which keeps the delivery sequence gap-free up to the failure and
+	// frees each admission slot.
+	var failed atomic.Int64
+	failed.Store(int64(len(files)))
+	fail := func(i int) {
+		for {
+			cur := failed.Load()
+			if int64(i) >= cur || failed.CompareAndSwap(cur, int64(i)) {
+				return
+			}
+		}
+	}
+	// Delivery runs on the emitter goroutine, strictly in input order;
+	// firstErr and delivered need no lock because only that goroutine
+	// touches them until Close returns.
 	var firstErr error
-	var errOnce sync.Once
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			close(stop)
-		})
-	}
-	// Translate context cancellation into the pipeline's own shutdown
-	// mechanism exactly once: every stage already selects on stop, and
-	// the checker inside each worker observes ctx directly, so a cancel
-	// mid-CDCL unwinds within one solver check interval.
-	go func() {
-		select {
-		case <-ctx.Done():
-			fail(ctx.Err())
-		case <-stop:
-		case <-done:
+	delivered := 0
+	ord := emit.NewOrdered(4*workers, func(i int, o outcome) {
+		if firstErr != nil {
+			return
 		}
-	}()
+		if o.err == nil && deliver != nil {
+			o.err = deliver(o.fr)
+		}
+		if o.err != nil {
+			firstErr = o.err
+			fail(i)
+			return
+		}
+		delivered++
+	})
 
-	var buildWG, checkWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		buildWG.Add(1)
-		go func(w int) {
-			defer buildWG.Done()
-			for j := range jobCh {
-				t0 := time.Now()
-				if s.Cache != nil {
-					if cf, ok := s.Cache.Lookup(j.name, j.src); ok {
-						cf.ReplayHit(&cacheStats[w])
-						deliver(fileResult{
-							idx:       j.idx,
-							pkgIdx:    j.pkgIdx,
-							name:      j.name,
-							funcs:     cf.Functions,
-							reports:   cf.Reports,
-							buildTime: time.Since(t0),
-						})
-						continue
-					}
-					cacheStats[w].CacheResultMisses++
-				}
-				file, err := cc.Parse(j.name, j.src)
-				if err != nil {
-					fail(fmt.Errorf("%s: %w", j.name, err))
-					return
-				}
-				if err := cc.Check(file); err != nil {
-					fail(fmt.Errorf("%s: %w", j.name, err))
-					return
-				}
-				prog, err := ir.Build(file)
-				if err != nil {
-					fail(fmt.Errorf("%s: %w", j.name, err))
-					return
-				}
-				u := builtUnit{fileJob: j, prog: prog, buildTime: time.Since(t0)}
-				select {
-				case builtCh <- u:
-				case <-stop:
-					return
-				}
-			}
-		}(w)
-
-		checkWG.Add(1)
-		go func(w int) {
-			defer checkWG.Done()
+	workerStats := make([]core.Stats, workers)
+	idxCh := make(chan int)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			checker := core.New(s.Options)
-			for u := range builtCh {
-				funcs := len(u.prog.Funcs)
-				before := checker.Stats()
-				t1 := time.Now()
-				reports, err := checker.CheckProgram(ctx, u.prog)
-				if err != nil {
-					fail(err)
-					break
+			st := &workerStats[w]
+			for i := range idxCh {
+				var o outcome
+				if int64(i) <= failed.Load() {
+					o.fr, o.err = s.CheckFile(ctx, checker, st, files[i].Name, files[i].Text)
+					o.fr.Index = i
+					if o.err != nil {
+						o.err = fmt.Errorf("%s: %w", files[i].Name, o.err)
+						fail(i)
+					}
 				}
-				if s.Cache != nil {
-					// Every built unit is a cache miss (hits never reach
-					// this stage), so store the finished analysis. The
-					// shape deltas come from the checker's own books —
-					// exactly what a warm hit must replay.
-					after := checker.Stats()
-					s.Cache.Store(u.name, u.src, CachedFile{
-						Functions: after.Functions - before.Functions,
-						Blocks:    after.Blocks - before.Blocks,
-						Reports:   reports,
-					})
-				}
-				deliver(fileResult{
-					idx:          u.idx,
-					pkgIdx:       u.pkgIdx,
-					name:         u.name,
-					funcs:        funcs,
-					reports:      reports,
-					buildTime:    u.buildTime,
-					analysisTime: time.Since(t1),
-				})
+				ord.Put(i, o)
 			}
-			workerStats[w] = checker.Stats()
-		}(w)
+			st.Add(checker.Stats())
+		}()
 	}
-
-	go func() {
-		defer close(jobCh)
-		for _, j := range jobs {
-			if !admit(stop) {
-				return
-			}
-			select {
-			case jobCh <- j:
-			case <-stop:
-				return
-			}
+	// Feed in input order until every file is out, ctx is done, or an
+	// earlier file has failed. Every fed index is Put exactly once, so
+	// the window keeps draining and Admit returns.
+	for i := range files {
+		if !ord.Admit(ctx.Done()) || ctx.Err() != nil || int64(i) > failed.Load() {
+			break
 		}
-	}()
+		idxCh <- i
+	}
+	close(idxCh)
+	wg.Wait()
+	ord.Close()
 
-	buildWG.Wait()
-	close(builtCh)
-	checkWG.Wait()
-	return append(workerStats, cacheStats...), firstErr
+	var st core.Stats
+	for _, ws := range workerStats {
+		st.Add(ws)
+	}
+	if firstErr == nil && delivered < len(files) {
+		// Feeding stopped on ctx before any file reported an error.
+		firstErr = ctx.Err()
+	}
+	return st, firstErr
+}
+
+// Run sweeps the archive through the worker pool and returns the
+// merged result (Stream without a per-file callback). Cancelling ctx
+// shuts the pool down without deadlock — each in-flight solver query
+// returns within one check interval — and Run returns ctx's error.
+func (s *Sweeper) Run(ctx context.Context, pkgs []Package) (*SweepResult, error) {
+	return s.Stream(ctx, pkgs, nil)
+}
+
+// RunStream is Stream with a callback that cannot fail.
+func (s *Sweeper) RunStream(ctx context.Context, pkgs []Package, emitFn func(FileResult)) (*SweepResult, error) {
+	if emitFn == nil {
+		return s.Stream(ctx, pkgs, nil)
+	}
+	return s.Stream(ctx, pkgs, func(fr FileResult) error { emitFn(fr); return nil })
+}
+
+// Stream sweeps the archive and additionally calls emitFn (if non-nil)
+// once per file, in archive order, as soon as the file and every
+// earlier one have been checked — long before the whole archive
+// finishes. The archive's files are flattened, package by package,
+// into one Check over sources named "<package>_<i>.c", so memory is
+// O(Workers) regardless of archive size and a slow callback
+// backpressures the pool. An error from emitFn stops the sweep and is
+// returned. The returned SweepResult is byte-identical to Run's for
+// any worker count.
+func (s *Sweeper) Stream(ctx context.Context, pkgs []Package, emitFn func(FileResult) error) (*SweepResult, error) {
+	var files []Source
+	var pkgOf []int
+	for pi, p := range pkgs {
+		for fi, src := range p.Files {
+			files = append(files, Source{Name: fmt.Sprintf("%s_%d.c", p.Name, fi), Text: src})
+			pkgOf = append(pkgOf, pi)
+		}
+	}
+	acc := newAccumulator(pkgs)
+	st, err := s.Check(ctx, files, func(fr FileResult) error {
+		pi := pkgOf[fr.Index]
+		fr.Package = pkgs[pi].Name
+		acc.add(fr, pi)
+		if emitFn != nil {
+			return emitFn(fr)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return acc.finish(st), nil
 }
 
 // accumulator folds per-file results, delivered in archive order, into
@@ -385,41 +375,38 @@ func newAccumulator(pkgs []Package) *accumulator {
 	}
 }
 
-func (a *accumulator) add(fr fileResult) {
+func (a *accumulator) add(fr FileResult, pkgIdx int) {
 	res := a.res
 	res.Files++
-	res.Functions += fr.funcs
-	res.BuildTime += fr.buildTime
-	res.AnalysisTime += fr.analysisTime
-	res.Reports += len(fr.reports)
-	if len(fr.reports) > 0 {
-		a.pkgHadReports[fr.pkgIdx] = true
+	res.Functions += fr.Functions
+	res.BuildTime += fr.BuildTime
+	res.AnalysisTime += fr.AnalysisTime
+	res.Reports += len(fr.Reports)
+	if len(fr.Reports) > 0 {
+		a.pkgHadReports[pkgIdx] = true
 	}
-	for alg, n := range core.CountByAlgo(fr.reports) {
+	for alg, n := range core.CountByAlgo(fr.Reports) {
 		res.ReportsByAlgo[alg] += n
 	}
-	for k, n := range core.CountByUBKind(fr.reports) {
+	for k, n := range core.CountByUBKind(fr.Reports) {
 		res.ReportsByKind[k] += n
 	}
-	for sz, n := range core.MinSetSizeHistogram(fr.reports) {
+	for sz, n := range core.MinSetSizeHistogram(fr.Reports) {
 		res.MinSetHistogram[sz] += n
 	}
-	for _, r := range fr.reports {
-		res.ReportLog = append(res.ReportLog, FileReport{File: fr.name, Report: r})
+	for _, r := range fr.Reports {
+		res.ReportLog = append(res.ReportLog, FileReport{File: fr.File, Report: r})
 	}
 }
 
-func (a *accumulator) finish(workerStats []core.Stats) *SweepResult {
+func (a *accumulator) finish(st core.Stats) *SweepResult {
 	res := a.res
 	for _, had := range a.pkgHadReports {
 		if had {
 			res.PackagesWithReports++
 		}
 	}
-	for _, ws := range workerStats {
-		res.Stats.Add(ws)
-	}
-
+	res.Stats = st
 	sort.SliceStable(res.ReportLog, func(i, j int) bool {
 		a, b := res.ReportLog[i], res.ReportLog[j]
 		if a.File != b.File {

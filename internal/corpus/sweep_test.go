@@ -2,9 +2,11 @@ package corpus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,19 +80,73 @@ func TestSweepEmptyArchive(t *testing.T) {
 	}
 }
 
-// TestSweepErrorPropagation: a file the frontend rejects must surface
-// as an error (not a hang or partial result), from any pipeline stage.
-func TestSweepErrorPropagation(t *testing.T) {
-	pkgs := []Package{
-		{Name: "good", Files: []string{"int f(int x) { return x + 1; }\n"}},
-		{Name: "bad", Files: []string{"int broken( {\n"}},
+// validFuncs is n small valid functions: a file the frontend takes a
+// while to accept.
+func validFuncs(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "int f%d(int x) { return x + %d; }\n", i, i)
 	}
+	return b.String()
+}
+
+// TestSweepErrorPropagation: a file the frontend rejects must surface
+// as an error (not a hang or partial result) naming the file, and when
+// several files fail it is the first in archive order that is named,
+// however the workers finish: a_0.c fails only after parsing 3,000
+// functions, a_1.c at once.
+func TestSweepErrorPropagation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pkgs []Package
+		want string
+	}{
+		{"one bad file", []Package{
+			{Name: "good", Files: []string{"int f(int x) { return x + 1; }\n"}},
+			{Name: "bad", Files: []string{"int broken( {\n"}},
+		}, "bad_0.c"},
+		{"slow failure first", []Package{
+			{Name: "a", Files: []string{validFuncs(3000) + "int broken( {\n", "int broken( {\n"}},
+		}, "a_0.c"},
+	} {
+		for _, workers := range []int{1, 4, 16} {
+			_, err := (&Sweeper{Options: sweepOpts(), Workers: workers}).Run(context.Background(), tc.pkgs)
+			if err == nil {
+				t.Errorf("%s, workers=%d: sweep of invalid source succeeded", tc.name, workers)
+			} else if !strings.HasPrefix(err.Error(), tc.want+": ") {
+				t.Errorf("%s, workers=%d: error does not name %s: %v", tc.name, workers, tc.want, err)
+			}
+		}
+	}
+}
+
+// countingCache is an always-missing ResultCache that counts lookups,
+// each of which happens as a file enters the per-file pipeline.
+type countingCache struct{ lookups atomic.Int64 }
+
+func (c *countingCache) Lookup(string, string) (CachedFile, bool) {
+	c.lookups.Add(1)
+	return CachedFile{}, false
+}
+func (*countingCache) Store(string, string, CachedFile) {}
+
+// TestCheckPreCancelledRunsNothing: with ctx already done, no file
+// enters the pipeline — not even one that would fail to parse — and
+// Check returns ctx's error.
+func TestCheckPreCancelledRunsNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	files := []Source{{Name: "bad.c", Text: "int broken( {\n"}, {Name: "good.c", Text: "int f(void) { return 0; }\n"}}
 	for _, workers := range []int{1, 4} {
-		_, err := (&Sweeper{Options: sweepOpts(), Workers: workers}).Run(context.Background(), pkgs)
-		if err == nil {
-			t.Errorf("workers=%d: sweep of invalid source succeeded", workers)
-		} else if !strings.Contains(err.Error(), "bad_0.c") {
-			t.Errorf("workers=%d: error does not name the file: %v", workers, err)
+		cache := &countingCache{}
+		sw := &Sweeper{Options: sweepOpts(), Workers: workers, Cache: cache}
+		delivered := 0
+		_, err := sw.Check(ctx, files, func(FileResult) error { delivered++; return nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if n := cache.lookups.Load(); n != 0 || delivered != 0 {
+			t.Errorf("workers=%d: %d file(s) entered the pipeline and %d were delivered after cancel", workers, n, delivered)
 		}
 	}
 }
@@ -174,8 +230,9 @@ func TestSweepStreamingEmitsInOrder(t *testing.T) {
 }
 
 // TestSweepErrorShutdownNoDeadlock: a failing file mid-archive must
-// shut the pipeline down promptly at high worker counts — no deadlock between feeder, builders, checkers, and
-// the emitter. Run under -race this doubles as the shutdown race test.
+// shut the pool down promptly at high worker counts — no deadlock
+// between feeder, workers, and the emitter. Run under -race this
+// doubles as the shutdown race test.
 func TestSweepErrorShutdownNoDeadlock(t *testing.T) {
 	var pkgs []Package
 	for i := 0; i < 30; i++ {

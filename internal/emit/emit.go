@@ -1,8 +1,8 @@
 // Package emit provides the deterministic in-order emitter shared by
-// every streaming surface of the checker: the archive sweep
-// (corpus.Sweeper), the batch API (stack.CheckSources), and the
-// sharded dispatcher (stack/shard), which re-sequences replica
-// streams. It exists so the admission-window + pending-map machinery
+// every streaming surface of the checker: the one in-process worker
+// pool (corpus.Sweeper.Check), which serves the archive sweep and the
+// batch API (stack.CheckSources) alike, and the sharded dispatcher
+// (stack/shard), which re-sequences replica streams. It exists so the admission-window + pending-map machinery
 // is implemented exactly once; before this package, corpus and stack
 // each hand-rolled a copy.
 //

@@ -35,6 +35,13 @@
 #      exactly such an oracle). Adding a pass to RunSSAPasses without
 #      registering both is a CI failure.
 #
+#   5. One per-file pipeline. Every in-process analysis (the archive
+#      sweep, CheckSources, CheckSource) runs one per-file function,
+#      corpus.Sweeper.CheckFile, on one worker pool. `cc.Parse(` may
+#      therefore appear in exactly one non-test Go file under stack/
+#      and internal/corpus/; a second call site is a second pipeline,
+#      with its own cache, stats and error policy to drift apart.
+#
 # Usage:
 #   scripts/invariants.sh              # check the repository
 #   scripts/invariants.sh --self-test  # prove the checks can fail
@@ -192,6 +199,22 @@ HoistLoopInvariantUB HoistedUBTerms FuzzHoistDifferential"
 	done <<<"$invoked"
 	[ "$bad" -eq 0 ] || return 1
 	echo "invariants: ok: every SSA pass has a stats counter and a differential oracle"
+}
+
+# check_one_pipeline DIR — fail unless exactly one non-test Go file
+# under DIR/stack and DIR/internal/corpus calls cc.Parse.
+check_one_pipeline() {
+	local root="$1" files n
+	files="$(for d in "$root/stack" "$root/internal/corpus"; do
+		[ -d "$d" ] && go_sources "$d"
+	done | xargs -r grep -lF 'cc.Parse(' || true)"
+	n="$(printf '%s' "$files" | grep -c . || true)"
+	if [ "$n" -ne 1 ]; then
+		echo "invariants: FAIL: cc.Parse( called in $n non-test files under stack/ and internal/corpus/, want exactly 1 (one per-file pipeline):" >&2
+		printf '%s\n' "$files" >&2
+		return 1
+	fi
+	echo "invariants: ok: one per-file pipeline"
 }
 
 self_test() {
@@ -365,10 +388,32 @@ self_test() {
 		pass=1
 	fi
 
+	# One cc.Parse call site under stack/ and internal/corpus/ passes;
+	# a second copy of the pipeline in stack/ must fail.
+	mkdir -p "$tmp/g/internal/corpus" "$tmp/g/stack"
+	cat >"$tmp/g/internal/corpus/sweep.go" <<-'EOF'
+		package corpus
+
+		func CheckFile(name, src string) { file, err := cc.Parse(name, src) }
+	EOF
+	if ! check_one_pipeline "$tmp/g" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: single per-file pipeline rejected" >&2
+		pass=1
+	fi
+	cat >"$tmp/g/stack/stack.go" <<-'EOF'
+		package stack
+
+		func checkOne(name, src string) { f, err := cc.Parse(name, src) }
+	EOF
+	if check_one_pipeline "$tmp/g" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: second per-file pipeline not detected" >&2
+		pass=1
+	fi
+
 	if [ "$pass" -ne 0 ]; then
 		return 1
 	fi
-	echo "invariants: self-test ok (10 cases)"
+	echo "invariants: self-test ok (12 cases)"
 }
 
 if [ "${1:-}" = "--self-test" ]; then
@@ -380,3 +425,4 @@ check_one_emitter "$ROOT"
 check_codes "$ROOT" "$ROOT/scripts/codes.manifest"
 check_fingerprint "$ROOT/internal/core/checker.go" "$ROOT/stack/cachekey.go"
 check_ssa_passes "$ROOT/internal/ir/analysis.go" "$ROOT/internal/core/stats.go" "$ROOT/internal"
+check_one_pipeline "$ROOT"

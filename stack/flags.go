@@ -15,7 +15,7 @@ type CommonFlags struct {
 	// MaxConflicts is -max-conflicts: the per-query deterministic
 	// conflict budget (0 = unbounded).
 	MaxConflicts int64
-	// Workers is -j: goroutines per pipeline stage (0 = one per CPU).
+	// Workers is -j: workers in the per-file pool (0 = one per CPU).
 	Workers int
 	// LegacyPipeline is -legacy-pipeline: disable the default SSA pass
 	// stack and analyze with the legacy encoding — the differential

@@ -32,18 +32,11 @@ package stack
 
 import (
 	"context"
-	"fmt"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	inorder "repro/internal/emit"
-	"repro/internal/ir"
 	"repro/stack/cache"
 )
 
@@ -52,9 +45,10 @@ import (
 // state, so one Analyzer can serve many requests (cmd/stackd holds a
 // single Analyzer for the whole service).
 type Analyzer struct {
-	opts    core.Options
-	workers int
-	cache   *resultCache // nil without WithCache
+	// sw is the per-file pipeline and worker pool that every
+	// in-process analysis runs on, configured by the options.
+	sw    corpus.Sweeper
+	cache *resultCache // nil without WithCache
 }
 
 // config collects option values before the Analyzer is built.
@@ -76,11 +70,14 @@ func New(options ...Option) *Analyzer {
 	for _, o := range options {
 		o(&cfg)
 	}
-	az := &Analyzer{opts: cfg.opts, workers: cfg.workers}
+	az := &Analyzer{sw: corpus.Sweeper{Options: cfg.opts, Workers: cfg.workers}}
 	if cfg.cache != nil {
 		// Built after all options have applied, so the key fingerprint
-		// reflects the analyzer's final configuration.
+		// reflects the analyzer's final configuration. Assigned to the
+		// sweeper only when non-nil: a typed-nil *resultCache in the
+		// interface field would make it consult a dead cache.
 		az.cache = newResultCache(cfg.cache, cfg.opts)
+		az.sw.Cache = az.cache
 	}
 	return az
 }
@@ -98,9 +95,10 @@ func WithMaxConflictsPerQuery(n int64) Option {
 	return func(c *config) { c.opts.MaxConflictsPerQuery = n }
 }
 
-// WithWorkers sets the number of goroutines per pipeline stage for
-// CheckSources and Sweep; values <= 0 mean one per CPU. Diagnostics
-// and counts are identical for every worker count.
+// WithWorkers sets the number of workers in the pool that
+// CheckSources and Sweep run on, each analyzing one file at a time;
+// values <= 0 mean one per CPU. Diagnostics and counts are identical
+// for every worker count.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
@@ -230,54 +228,20 @@ type Source struct {
 	Text string
 }
 
-// checkOne runs the frontend and the checker over one source under ctx.
-func checkOne(ctx context.Context, checker *core.Checker, name, src string) ([]*core.Report, error) {
-	f, err := cc.Parse(name, src)
-	if err != nil {
-		return nil, err
-	}
-	if err := cc.Check(f); err != nil {
-		return nil, err
-	}
-	p, err := ir.Build(f)
-	if err != nil {
-		return nil, err
-	}
-	return checker.CheckProgram(ctx, p)
-}
-
 // CheckSource analyzes one C source and returns its diagnostics.
 // Cancelling ctx aborts the analysis within one solver check interval
 // and returns ctx's error.
 func (a *Analyzer) CheckSource(ctx context.Context, name, src string) (*Result, error) {
-	if a.cache != nil {
-		if cf, ok := a.cache.Lookup(name, src); ok {
-			var st Stats
-			cf.ReplayHit(&st)
-			return &Result{
-				File:        name,
-				Diagnostics: diagnosticsOf(cf.Reports),
-				Stats:       st,
-			}, nil
-		}
-	}
-	checker := core.New(a.opts)
-	reports, err := checkOne(ctx, checker, name, src)
+	checker := core.New(a.sw.Options)
+	var st Stats
+	fr, err := a.sw.CheckFile(ctx, checker, &st, name, src)
 	if err != nil {
 		return nil, err
 	}
-	st := checker.Stats()
-	if a.cache != nil {
-		st.CacheResultMisses = 1
-		a.cache.Store(name, src, corpus.CachedFile{
-			Functions: st.Functions,
-			Blocks:    st.Blocks,
-			Reports:   reports,
-		})
-	}
+	st.Add(checker.Stats())
 	return &Result{
 		File:        name,
-		Diagnostics: diagnosticsOf(reports),
+		Diagnostics: diagnosticsOf(fr.Reports),
 		Stats:       st,
 	}, nil
 }
@@ -293,129 +257,28 @@ func (a *Analyzer) CheckFile(ctx context.Context, path string) (*Result, error) 
 
 // CheckSources analyzes several sources concurrently (the Workers
 // option sets the pool size) and calls emit once per source, in input
-// order, as soon as that source and every earlier one have finished —
-// the same in-order streaming discipline as the archive sweep (both
-// run on the shared emitter, emit.Ordered), with O(Workers) results
-// buffered at any moment. Diagnostics are identical for every worker
-// count.
+// order, as soon as that source and every earlier one have finished.
+// It runs on the same worker pool as the archive sweep
+// (corpus.Sweeper.Check), with O(Workers) results buffered at any
+// moment. Diagnostics are identical for every worker count.
 //
 // On the first error (in input order) emission stops and the error,
 // annotated with the source name, is returned; sources after the
-// failing one are skipped. The returned Stats cover the sources that
-// were analyzed.
+// failing one are skipped, and once ctx is done no further source
+// starts. The returned Stats cover the sources that were analyzed.
 func (a *Analyzer) CheckSources(ctx context.Context, srcs []Source, emit func(FileResult)) (Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	files := make([]corpus.Source, len(srcs))
+	for i, s := range srcs {
+		files[i] = corpus.Source(s)
 	}
-	if len(srcs) == 0 {
-		return Stats{}, nil
-	}
-	workers := a.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
-
-	type outcome struct {
-		diags []Diagnostic
-		err   error
-	}
-	// Delivery runs on the emitter goroutine, strictly in input order;
-	// firstErr needs no lock because only that goroutine touches it.
-	var firstErr error
-	ord := inorder.NewOrdered(4*workers, func(idx int, o outcome) {
-		if firstErr != nil {
-			return
-		}
-		if o.err != nil {
-			firstErr = fmt.Errorf("%s: %w", srcs[idx].Name, o.err)
-			return
-		}
+	return a.sw.Check(ctx, files, func(fr corpus.FileResult) error {
 		if emit != nil {
 			emit(FileResult{
-				Index:       idx,
-				File:        srcs[idx].Name,
-				Diagnostics: o.diags,
+				Index:       fr.Index,
+				File:        fr.File,
+				Diagnostics: diagnosticsOf(fr.Reports),
 			})
 		}
+		return nil
 	})
-	// Per-worker checker effort plus result-cache traffic, merged once
-	// the workers have finished.
-	workerStats := make([]core.Stats, workers)
-	idxCh := make(chan int)
-	// failedIdx holds the smallest input index that has errored so
-	// far. Skipping strictly later indices (never earlier ones) keeps
-	// the fail-fast path race-free: a source before the first error is
-	// always analyzed and emitted, even if its worker observes the
-	// failure flag after dequeuing it. Skipped indices still Put an
-	// empty outcome, so the delivery sequence has no gaps and every
-	// admission slot frees.
-	var failedIdx atomic.Int64
-	failedIdx.Store(int64(len(srcs)))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			checker := core.New(a.opts)
-			for i := range idxCh {
-				// Fail fast: skip sources after the earliest error. The
-				// emitter's delivery callback stops at the error, so they
-				// are never emitted.
-				if int64(i) > failedIdx.Load() {
-					ord.Put(i, outcome{})
-					continue
-				}
-				if a.cache != nil {
-					if cf, ok := a.cache.Lookup(srcs[i].Name, srcs[i].Text); ok {
-						cf.ReplayHit(&workerStats[w])
-						ord.Put(i, outcome{diags: diagnosticsOf(cf.Reports)})
-						continue
-					}
-					workerStats[w].CacheResultMisses++
-				}
-				before := checker.Stats()
-				reports, err := checkOne(ctx, checker, srcs[i].Name, srcs[i].Text)
-				if err != nil {
-					for {
-						cur := failedIdx.Load()
-						if int64(i) >= cur || failedIdx.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-					ord.Put(i, outcome{err: err})
-					continue
-				}
-				if a.cache != nil {
-					after := checker.Stats()
-					a.cache.Store(srcs[i].Name, srcs[i].Text, corpus.CachedFile{
-						Functions: after.Functions - before.Functions,
-						Blocks:    after.Blocks - before.Blocks,
-						Reports:   reports,
-					})
-				}
-				ord.Put(i, outcome{diags: diagnosticsOf(reports)})
-			}
-			workerStats[w].Add(checker.Stats())
-		}(w)
-	}
-	// The admission window caps how far workers run ahead of a slow
-	// early source, bounding the emitter's buffering at O(workers).
-	// Every index is eventually Put, so the window always drains and
-	// Admit cannot block indefinitely.
-	for i := range srcs {
-		ord.Admit(nil)
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
-	ord.Close()
-
-	var st core.Stats
-	for _, ws := range workerStats {
-		st.Add(ws)
-	}
-	return st, firstErr
 }

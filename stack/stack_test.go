@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,12 +43,12 @@ int scale(int x, int y) {
 
 func analyzeReports(t *testing.T, name, src string) []*core.Report {
 	t.Helper()
-	checker := core.New(core.DefaultOptions)
-	reports, err := checkOne(context.Background(), checker, name, src)
+	sw := &corpus.Sweeper{Options: core.DefaultOptions}
+	fr, err := sw.CheckFile(context.Background(), core.New(core.DefaultOptions), &core.Stats{}, name, src)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	return reports
+	return fr.Reports
 }
 
 // TestFormatDiagnosticsByteIdentity pins the public text rendering to
@@ -347,44 +348,129 @@ func TestTextSinkSweepByteIdentity(t *testing.T) {
 	}
 }
 
-// TestCheckSourcesOrderAndErrors: emission is in input order, an
-// erroring source stops emission at its index, and the error carries
-// the source name.
+// batchRuns drive each in-process batch entry point over srcs,
+// emitting each result's index. Sweep gets one single-file package per
+// source; the sources are named "<name>_0.c", so Sweep's file names
+// match.
+var batchRuns = []struct {
+	name string
+	run  func(ctx context.Context, az *Analyzer, srcs []Source, emit func(int)) error
+}{
+	{"CheckSources", func(ctx context.Context, az *Analyzer, srcs []Source, emit func(int)) error {
+		_, err := az.CheckSources(ctx, srcs, func(fr FileResult) { emit(fr.Index) })
+		return err
+	}},
+	{"Sweep", func(ctx context.Context, az *Analyzer, srcs []Source, emit func(int)) error {
+		pkgs := make([]Package, len(srcs))
+		for i, s := range srcs {
+			pkgs[i] = Package{Name: strings.TrimSuffix(s.Name, "_0.c"), Files: []string{s.Text}}
+		}
+		_, err := az.Sweep(ctx, pkgs, emitSink(emit))
+		return err
+	}},
+}
+
+// emitSink is a Sink that reports each result's index.
+type emitSink func(int)
+
+func (s emitSink) Emit(fr FileResult) error { s(fr.Index); return nil }
+func (emitSink) Close() error               { return nil }
+
+// lateCancel is a context that turns cancelled after n Err calls: the
+// pool starts the file, and the checker observes the cancel partway
+// through it.
+type lateCancel struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *lateCancel) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// manyFuncs is fig1Src's function repeated n times under distinct
+// names: a valid file that takes a while to check.
+func manyFuncs(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		b.WriteString(strings.Replace(fig1Src, "parse_header", fmt.Sprintf("parse_header%d", i), 1))
+	}
+	return b.String()
+}
+
+// TestCheckSourcesOrderAndErrors: the Checker contract, for both
+// CheckSources and Sweep: emission is in input order, an erroring
+// source stops emission at its index with every earlier source
+// emitted, the error carries the source name (checker errors
+// included), and a context already done runs nothing.
 func TestCheckSourcesOrderAndErrors(t *testing.T) {
-	az := New(WithWorkers(4))
-	srcs := []Source{
-		{Name: "a.c", Text: fig1Src},
-		{Name: "b.c", Text: divSrc},
-		{Name: "broken.c", Text: "int f( {"},
-		{Name: "after.c", Text: fig1Src},
-	}
-	var order []int
-	_, err := az.CheckSources(context.Background(), srcs, func(fr FileResult) {
-		order = append(order, fr.Index)
-	})
-	if err == nil || !strings.Contains(err.Error(), "broken.c") {
-		t.Fatalf("error = %v, want one naming broken.c", err)
-	}
-	if !reflect.DeepEqual(order, []int{0, 1}) {
-		t.Errorf("emitted indices %v, want [0 1]", order)
+	broken := Source{Name: "broken_0.c", Text: "int f( {"}
+	for _, br := range batchRuns {
+		t.Run(br.name, func(t *testing.T) {
+			run := func(ctx context.Context, workers int, srcs []Source) ([]int, error) {
+				var order []int
+				err := br.run(ctx, New(WithWorkers(workers)), srcs, func(i int) { order = append(order, i) })
+				return order, err
+			}
+			order, err := run(context.Background(), 4, []Source{
+				{Name: "a_0.c", Text: fig1Src}, {Name: "b_0.c", Text: divSrc}, broken, {Name: "after_0.c", Text: fig1Src},
+			})
+			if err == nil || !strings.HasPrefix(err.Error(), "broken_0.c: ") {
+				t.Fatalf("error = %v, want one naming broken_0.c", err)
+			}
+			if !reflect.DeepEqual(order, []int{0, 1}) {
+				t.Errorf("emitted indices %v, want [0 1]", order)
+			}
+
+			// A slow valid source before a broken one is still emitted.
+			slow := []Source{{Name: "slow_0.c", Text: manyFuncs(12)}, broken}
+			for i := 0; i < 3; i++ {
+				if order, err := run(context.Background(), 4, slow); err == nil || !reflect.DeepEqual(order, []int{0}) {
+					t.Errorf("slow then broken: emitted %v, err %v; want [0] and an error", order, err)
+				}
+			}
+
+			// A cancel the checker observes names the source.
+			late := &lateCancel{Context: context.Background()}
+			late.n.Store(20)
+			if _, err := run(late, 1, slow[:1]); !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "slow_0.c: ") {
+				t.Errorf("cancelled mid-check: err = %v, want context.Canceled naming slow_0.c", err)
+			}
+
+			// A context done before the call never reaches the frontend.
+			pre, cancel := context.WithCancel(context.Background())
+			cancel()
+			if order, err := run(pre, 4, []Source{broken}); !errors.Is(err, context.Canceled) || len(order) != 0 {
+				t.Errorf("pre-cancelled: emitted %v, err %v; want nothing and context.Canceled", order, err)
+			}
+
+			// Happy path: every index, strictly increasing, any worker count.
+			for _, workers := range []int{1, 3} {
+				got, err := run(context.Background(), workers, []Source{
+					{Name: "a_0.c", Text: fig1Src}, {Name: "b_0.c", Text: divSrc}, {Name: "c_0.c", Text: fig1Src},
+				})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if !reflect.DeepEqual(got, []int{0, 1, 2}) {
+					t.Errorf("workers=%d: indices %v", workers, got)
+				}
+			}
+		})
 	}
 
-	// Happy path: every index, strictly increasing, any worker count.
-	for _, workers := range []int{1, 3} {
-		az := New(WithWorkers(workers))
-		var got []int
-		st, err := az.CheckSources(context.Background(), []Source{
-			{Name: "a.c", Text: fig1Src}, {Name: "b.c", Text: divSrc}, {Name: "c.c", Text: fig1Src},
-		}, func(fr FileResult) { got = append(got, fr.Index) })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, []int{0, 1, 2}) {
-			t.Errorf("workers=%d: indices %v", workers, got)
-		}
-		if st.Queries == 0 || st.Functions == 0 {
-			t.Errorf("workers=%d: stats not merged: %+v", workers, st)
-		}
+	// CheckSources merges the workers' stats.
+	st, err := New(WithWorkers(3)).CheckSources(context.Background(), []Source{
+		{Name: "a.c", Text: fig1Src}, {Name: "b.c", Text: divSrc}, {Name: "c.c", Text: fig1Src},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Queries == 0 || st.Functions != 3 {
+		t.Errorf("stats not merged: %+v", st)
 	}
 }
 

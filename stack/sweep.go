@@ -44,14 +44,14 @@ type SweepResult struct {
 // the classic summary block the sweep CLI prints.
 func (r *SweepResult) Format() string { return r.inner.Format() }
 
-// Sweep runs the checker over every package through the parallel
-// build→check pipeline. If sink is non-nil, each file's result is
+// Sweep runs the checker over every package on the worker pool that
+// CheckSources uses. If sink is non-nil, each file's result is
 // delivered to it in archive order as soon as the file and every
 // earlier one have finished (the streaming emitter; O(Workers) results
 // buffered), and the sink is Closed before Sweep returns. A sink error
-// aborts the sweep and is returned.
+// stops the pool and is returned.
 //
-// Cancelling ctx shuts the pipeline down without deadlock — in-flight
+// Cancelling ctx shuts the pool down without deadlock — in-flight
 // solver queries return within one check interval — and Sweep returns
 // ctx's error.
 func (a *Analyzer) Sweep(ctx context.Context, pkgs []Package, sink Sink) (*SweepResult, error) {
@@ -59,44 +59,17 @@ func (a *Analyzer) Sweep(ctx context.Context, pkgs []Package, sink Sink) (*Sweep
 	for i, p := range pkgs {
 		cps[i] = corpus.Package{Name: p.Name, Files: p.Files}
 	}
-	sw := &corpus.Sweeper{Options: a.opts, Workers: a.workers}
-	if a.cache != nil {
-		// Assigned only when non-nil: a typed-nil *resultCache in the
-		// interface field would make the sweeper consult a dead cache.
-		sw.Cache = a.cache
+	var emit func(corpus.FileResult) error
+	if sink != nil {
+		emit = func(fr corpus.FileResult) error { return sink.Emit(fileResultOf(fr)) }
 	}
-
-	var res *corpus.SweepResult
-	var err error
-	if sink == nil {
-		res, err = sw.Run(ctx, cps)
-	} else {
-		// A failing sink cancels the derived context to stop the
-		// pipeline; the sink's own error wins over the resulting
-		// context error. sinkErr is only written by the emitter
-		// goroutine and only read after RunStream returns.
-		sctx, cancel := context.WithCancel(orBackground(ctx))
-		defer cancel()
-		var sinkErr error
-		emit := func(fr corpus.FileResult) {
-			if sinkErr != nil {
-				return
-			}
-			if e := sink.Emit(fileResultOf(fr)); e != nil {
-				sinkErr = e
-				cancel()
-			}
-		}
-		res, err = sw.RunStream(sctx, cps, emit)
+	res, err := a.sw.Stream(ctx, cps, emit)
+	if sink != nil {
 		// The sink is closed on every path — flushing formats that
 		// buffer (SARIF) on success, releasing resources on failure —
 		// with the first error winning.
-		closeErr := sink.Close()
-		if sinkErr != nil {
-			return nil, sinkErr
-		}
-		if err == nil && closeErr != nil {
-			return nil, closeErr
+		if closeErr := sink.Close(); err == nil {
+			err = closeErr
 		}
 	}
 	if err != nil {
@@ -118,13 +91,6 @@ func (a *Analyzer) Sweep(ctx context.Context, pkgs []Package, sink Sink) (*Sweep
 	}, nil
 }
 
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
-
 // fileResultOf converts one internal per-file result, including its
 // reports, into the public form.
 func fileResultOf(fr corpus.FileResult) FileResult {
@@ -141,4 +107,4 @@ func fileResultOf(fr corpus.FileResult) FileResult {
 
 // coreOptions exposes the analyzer's checker options to tests that
 // drive the internal sweeper directly for byte-identity comparisons.
-func (a *Analyzer) coreOptions() core.Options { return a.opts }
+func (a *Analyzer) coreOptions() core.Options { return a.sw.Options }
