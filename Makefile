@@ -105,8 +105,10 @@ bench:
 # the concrete term evaluator against blast-then-solve with the inputs
 # fixed, at widths on both sides of 64 bits. FuzzSolveAssuming checks the
 # incremental SAT core (verdicts, models, failed assumptions and the
-# clause arena) against brute force, and FuzzVarHeap checks the VSIDS
-# heap's layout against the swap-based reference heap.
+# clause arena) against brute force, FuzzVarHeap checks the VSIDS
+# heap's layout against the swap-based reference heap, and
+# FuzzSolverReset checks that a solver reset after one instance searches
+# a second exactly as a new solver does.
 # FuzzPreprocessMatchesReference checks the single-buffer macro expander
 # against the copy-per-step reference expander: tokens, errors and
 # budget charges. The last four are the SSA differential oracles: end-to-end byte identity of checker output
@@ -121,6 +123,7 @@ fuzz-smoke:
 	$(GO) test ./internal/bv -run '^$$' -fuzz '^FuzzEvalMatchesBlast$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolveAssuming$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzVarHeap$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolverReset$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSSADifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzSCCPDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzHoistDifferential$$' -fuzztime $(FUZZTIME)

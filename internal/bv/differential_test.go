@@ -227,8 +227,8 @@ func TestDifferentialSolverStack(t *testing.T) {
 	// reused across a chunk of queries (the checker's per-function
 	// shape), plus a scratch-mode session on the same builder.
 	full := NewBuilder()
-	sessInc := NewSession(full)
-	sessScr := NewSession(full)
+	sessInc := NewSession(full, nil)
+	sessScr := NewSession(full, nil)
 	sessScr.Scratch = true
 	var blastsInc, blastsScr, fastInc int64
 	witnessedModels := 0 // incremental Sat models that came from the ring
@@ -247,8 +247,8 @@ func TestDifferentialSolverStack(t *testing.T) {
 			blastsInc += sessInc.Blasts()
 			blastsScr += sessScr.Blasts()
 			fastInc += sessInc.FastPaths
-			sessInc = NewSession(full)
-			sessScr = NewSession(full)
+			sessInc = NewSession(full, nil)
+			sessScr = NewSession(full, nil)
 			sessScr.Scratch = true
 		}
 		tree := g.boolean(3)

@@ -52,20 +52,21 @@ type Solver struct {
 	Timeouts  int64
 	FastPaths int64
 
-	asserted   bool              // a permanent constraint has been added
-	modelValid bool              // last verdict was Sat from a real SAT run
-	assumed    map[*Term]sat.Lit // activation literal per assumed term
+	asserted   bool // a permanent constraint has been added
+	modelValid bool // last verdict was Sat from a real SAT run
 }
 
 // NewSolver returns a solver for terms created by bld.
 func NewSolver(bld *Builder) *Solver {
 	s := sat.New()
-	return &Solver{
-		bld:     bld,
-		sat:     s,
-		bl:      newBlaster(s),
-		assumed: make(map[*Term]sat.Lit),
-	}
+	return &Solver{bld: bld, sat: s, bl: newBlaster(s)}
+}
+
+// reset puts s back in the state NewSolver(bld) gives, keeping the
+// storage of its SAT core and of its blaster cache.
+func (s *Solver) reset(bld *Builder) {
+	s.bl.reset()
+	*s = Solver{bld: bld, sat: s.sat, bl: s.bl}
 }
 
 // litFor blasts a width-1 term and returns its literal.

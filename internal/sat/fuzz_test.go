@@ -29,7 +29,12 @@ func (r *fuzzReader) lit(nVars int) Lit {
 // decodeIncremental turns bytes into a CNF over at most 12 variables
 // and up to 8 assumption sets of up to 4 literals each.
 func decodeIncremental(data []byte) (nVars int, cnf [][]Lit, sets [][]Lit) {
-	r := &fuzzReader{data: data}
+	return decodeInstance(&fuzzReader{data: data})
+}
+
+// decodeInstance is decodeIncremental reading from r, so that one
+// input can hold several instances.
+func decodeInstance(r *fuzzReader) (nVars int, cnf [][]Lit, sets [][]Lit) {
 	nVars = 1 + int(r.next())%12
 	nClauses := int(r.next()) % 48
 	for i := 0; i < nClauses && !r.done(); i++ {

@@ -19,6 +19,11 @@ func newVarHeap(act *[]float64) *varHeap {
 	return &varHeap{act: act}
 }
 
+// reset empties the heap, keeping its arrays.
+func (h *varHeap) reset() {
+	h.heap, h.index = h.heap[:0], h.index[:0]
+}
+
 // up moves the variable at position i toward the root while its
 // activity is strictly greater than its parent's.
 func (h *varHeap) up(i int) {

@@ -34,11 +34,16 @@ func recordSearch(s *Solver, st Status) searchRecord {
 	return r
 }
 
+// newSolver returns the solver every instance below is built on.
+// TestSearchPinnedAfterReset swaps it for one that hands out reset
+// solvers.
+var newSolver = New
+
 // random3SAT returns a seeded uniform random 3-SAT instance with n
 // variables and round(ratio*n) clauses.
 func random3SAT(seed int64, n int, ratio float64) *Solver {
 	rng := rand.New(rand.NewSource(seed))
-	s := New()
+	s := newSolver()
 	for i := 0; i < n; i++ {
 		s.NewVar()
 	}
@@ -56,7 +61,7 @@ func random3SAT(seed int64, n int, ratio float64) *Solver {
 // pigeonhole returns the unsatisfiable instance of n+1 pigeons in n
 // holes.
 func pigeonhole(n int) *Solver {
-	s := New()
+	s := newSolver()
 	p := make([][]Var, n+1)
 	for i := range p {
 		p[i] = make([]Var, n)
@@ -89,7 +94,7 @@ func pigeonhole(n int) *Solver {
 func activationSequence() []searchRecord {
 	const nVars, groups, perGroup = 80, 8, 64
 	rng := rand.New(rand.NewSource(3))
-	s := New()
+	s := newSolver()
 	for i := 0; i < nVars; i++ {
 		s.NewVar()
 	}
