@@ -105,6 +105,48 @@ func FuzzEvalMatchesBlast(f *testing.F) {
 	})
 }
 
+// TestBlastShiftByHighAmounts: a shift by 2^30 or more — an amount
+// whose low bits alone would select a small shift — gives 0, or the
+// sign fill for ashr, at widths 32 and 64, in the blaster as in the
+// evaluator.
+func TestBlastShiftByHighAmounts(t *testing.T) {
+	for _, width := range []int{32, 64} {
+		bld := NewBuilder()
+		bld.NoRewrite = true
+		x, amt := bld.Var("x", width), bld.Var("amt", width)
+		amounts := []uint64{1 << 30, 1<<31 + 1, 1<<31 | 1<<30 | 3}
+		if width == 64 {
+			amounts = append(amounts, 1<<63, 1<<63|5)
+		}
+		for _, op := range []Op{OpShl, OpLShr, OpAShr} {
+			var term *Term
+			switch op {
+			case OpShl:
+				term = bld.Shl(x, amt)
+			case OpLShr:
+				term = bld.LShr(x, amt)
+			default:
+				term = bld.AShr(x, amt)
+			}
+			for _, xv := range []uint64{0x1234_5678, 1<<uint(width-1) | 0xF0} {
+				want := new(big.Int)
+				if op == OpAShr && xv>>uint(width-1) == 1 {
+					want = mask(width)
+				}
+				for _, a := range amounts {
+					env := map[string]*big.Int{"x": new(big.Int).SetUint64(xv), "amt": new(big.Int).SetUint64(a)}
+					if got := blastValue(t, bld, term, env); got.Cmp(want) != 0 {
+						t.Errorf("width %d: %v x=%#x by %#x: blaster %#x, want %#x", width, op, xv, a, got, want)
+					}
+					if got := evalTerm(term, env); got.Cmp(want) != 0 {
+						t.Errorf("width %d: %v x=%#x by %#x: evaluator %#x, want %#x", width, op, xv, a, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestEvalSeedsCoverEveryOp holds the FuzzEvalMatchesBlast seed corpus
 // to its purpose: together the seeds evaluate every operation on the
 // uint64 path and on the math/big path, divide and take the remainder
