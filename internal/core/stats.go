@@ -102,6 +102,11 @@ type Stats struct {
 	// query, without blasting or CDCL search (see bv.Session). Like
 	// TermsBlasted it is effort: scratch solving keeps no assignments.
 	WitnessHits int64 `json:"witnessHits,omitempty" prom:"stackd_solver_witness_hits_total" help:"Queries answered Sat by a stored satisfying assignment, without search." class:"effort"`
+	// FilePanics counts files whose analysis panicked. The per-file
+	// pipeline (corpus.Sweeper.CheckFile) recovers the panic into an
+	// error naming the file, so one bad input cannot take down the
+	// process or the other files of a sweep.
+	FilePanics int64 `json:"filePanics,omitempty" prom:"stackd_solver_file_panics_total" help:"Files whose analysis panicked and ended in an error."`
 }
 
 // Add accumulates other into s, field by field. It is the reduction

@@ -91,7 +91,7 @@ func validFuncs(n int) string {
 }
 
 // TestSweepErrorPropagation: a file the frontend rejects must surface
-// as an error (not a hang or partial result) naming the file, and when
+// as an error (not a hang or partial result) naming the file once, and when
 // several files fail it is the first in archive order that is named,
 // however the workers finish: a_0.c fails only after parsing 3,000
 // functions, a_1.c at once.
@@ -113,8 +113,8 @@ func TestSweepErrorPropagation(t *testing.T) {
 			_, err := (&Sweeper{Options: sweepOpts(), Workers: workers}).Run(context.Background(), tc.pkgs)
 			if err == nil {
 				t.Errorf("%s, workers=%d: sweep of invalid source succeeded", tc.name, workers)
-			} else if !strings.HasPrefix(err.Error(), tc.want+": ") {
-				t.Errorf("%s, workers=%d: error does not name %s: %v", tc.name, workers, tc.want, err)
+			} else if !strings.HasPrefix(err.Error(), tc.want+":") || strings.Count(err.Error(), tc.want) != 1 {
+				t.Errorf("%s, workers=%d: error does not name %s once, at the start: %v", tc.name, workers, tc.want, err)
 			}
 		}
 	}
@@ -147,6 +147,80 @@ func TestCheckPreCancelledRunsNothing(t *testing.T) {
 		}
 		if n := cache.lookups.Load(); n != 0 || delivered != 0 {
 			t.Errorf("workers=%d: %d file(s) entered the pipeline and %d were delivered after cancel", workers, n, delivered)
+		}
+	}
+}
+
+// panicCache is an always-missing ResultCache whose Store panics for
+// one file, after that file's analysis has finished.
+type panicCache struct{ file string }
+
+func (*panicCache) Lookup(string, string) (CachedFile, bool) { return CachedFile{}, false }
+func (c *panicCache) Store(name, _ string, _ CachedFile) {
+	if name == c.file {
+		panic("store failed")
+	}
+}
+
+// TestCheckFileIsolatesPanics: a panic while handling one file ends in
+// a *PanicError naming that file once and one FilePanics count, not in
+// a crash, and the checker that ran the file gives byte-identical
+// reports on every later file to a fresh checker's. Through the pool,
+// the panic is the error Check returns, named once.
+func TestCheckFileIsolatesPanics(t *testing.T) {
+	var files []Source
+	for _, p := range GenerateArchive(ArchiveConfig{Packages: 6, FilesPerPackage: 2, FuncsPerFile: 5, UnstableFraction: 1, Seed: 5}) {
+		for i, src := range p.Files {
+			files = append(files, Source{Name: fmt.Sprintf("%s_%d.c", p.Name, i), Text: src})
+		}
+	}
+	bad := files[3].Name
+	sw := &Sweeper{Options: sweepOpts(), Cache: &panicCache{file: bad}}
+	shared := core.New(sw.Options)
+	var st core.Stats
+	reports := 0
+	for i, f := range files {
+		got, err := sw.CheckFile(context.Background(), shared, &st, f.Name, f.Text)
+		if f.Name == bad {
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.File != bad || pe.Value != "store failed" || len(pe.Stack) == 0 {
+				t.Fatalf("%s: err = %v, want the recovered panic", bad, err)
+			}
+			if msg := err.Error(); !strings.HasPrefix(msg, bad+":") || strings.Count(msg, bad) != 1 {
+				t.Errorf("panic error %q does not name %s once, at the start", msg, bad)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if i < 3 {
+			continue
+		}
+		want, err := sw.CheckFile(context.Background(), core.New(sw.Options), &core.Stats{}, f.Name, f.Text)
+		if err != nil {
+			t.Fatalf("%s on a fresh checker: %v", f.Name, err)
+		}
+		if g, w := fmt.Sprint(got.Reports), fmt.Sprint(want.Reports); g != w {
+			t.Errorf("%s after the panic:\n got  %s\n want %s", f.Name, g, w)
+		}
+		reports += len(got.Reports)
+	}
+	if st.FilePanics != 1 {
+		t.Errorf("FilePanics = %d, want 1", st.FilePanics)
+	}
+	if reports == 0 {
+		t.Fatal("no reports after the panic; the comparison is vacuous")
+	}
+
+	for _, workers := range []int{1, 4} {
+		sw.Workers = workers
+		delivered := 0
+		st, err := sw.Check(context.Background(), files, func(FileResult) error { delivered++; return nil })
+		var pe *PanicError
+		if !errors.As(err, &pe) || strings.Count(err.Error(), bad) != 1 || delivered != 3 || st.FilePanics != 1 {
+			t.Errorf("workers=%d: err = %v, %d delivered, FilePanics %d; want the panic named once, 3 delivered, 1 panic",
+				workers, err, delivered, st.FilePanics)
 		}
 	}
 }

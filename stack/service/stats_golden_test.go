@@ -42,6 +42,7 @@ func goldenStats(t *testing.T) stack.Stats {
 		CacheResultHits:       24,
 		CacheResultMisses:     25,
 		WitnessHits:           26,
+		FilePanics:            27,
 	}
 	v := reflect.ValueOf(st)
 	for i := 0; i < v.NumField(); i++ {
@@ -64,7 +65,7 @@ func TestStatsEncodingsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantJSON = `{"functions":1,"blocks":2,"queries":3,"timeouts":4,"rewriteHits":5,"termsCreated":6,"fastPaths":7,"termsBlasted":8,"blastPasses":9,"learntsReused":10,"cacheHits":11,"learntsDropped":12,"arenaBytesReused":13,"promotedAllocas":14,"eliminatedStores":15,"gvnHits":16,"sccpFoldedValues":17,"sccpFoldedBranches":18,"sccpUnreachableBlocks":19,"crossBlockGvnHits":20,"hoistedUbTerms":21,"domOrderedSkips":22,"ssaSharpened":23,"cacheResultHits":24,"cacheResultMisses":25,"witnessHits":26}`
+	const wantJSON = `{"functions":1,"blocks":2,"queries":3,"timeouts":4,"rewriteHits":5,"termsCreated":6,"fastPaths":7,"termsBlasted":8,"blastPasses":9,"learntsReused":10,"cacheHits":11,"learntsDropped":12,"arenaBytesReused":13,"promotedAllocas":14,"eliminatedStores":15,"gvnHits":16,"sccpFoldedValues":17,"sccpFoldedBranches":18,"sccpUnreachableBlocks":19,"crossBlockGvnHits":20,"hoistedUbTerms":21,"domOrderedSkips":22,"ssaSharpened":23,"cacheResultHits":24,"cacheResultMisses":25,"witnessHits":26,"filePanics":27}`
 	if string(raw) != wantJSON {
 		t.Errorf("stats JSON changed:\n got  %s\n want %s", raw, wantJSON)
 	}
@@ -154,6 +155,9 @@ stackd_result_cache_result_misses_total 25
 # HELP stackd_solver_witness_hits_total Queries answered Sat by a stored satisfying assignment, without search.
 # TYPE stackd_solver_witness_hits_total counter
 stackd_solver_witness_hits_total 26
+# HELP stackd_solver_file_panics_total Files whose analysis panicked and ended in an error.
+# TYPE stackd_solver_file_panics_total counter
+stackd_solver_file_panics_total 27
 `
 	if got := out[i:]; got != wantProm {
 		t.Errorf("prometheus solver block changed:\n--- got\n%s--- want\n%s", got, wantProm)
