@@ -81,7 +81,7 @@ func TestBuilderArenaTermsStableAcrossGrowth(t *testing.T) {
 			t.Fatalf("held term %d corrupted: width %d", i, h.Width())
 		}
 	}
-	s := NewSolver(b)
+	s := NewSession(b, nil)
 	if got := s.Solve(b.Eq(sum, b.ConstInt64(7, 8))); got != Sat {
 		t.Fatalf("arena-backed solve = %v, want sat", got)
 	}

@@ -7,9 +7,14 @@ import (
 	"testing/quick"
 )
 
-func newSB() (*Builder, *Solver) {
+func newSB() (*Builder, *Session) {
 	b := NewBuilder()
-	return b, NewSolver(b)
+	return b, NewSession(b, nil)
+}
+
+// satSize returns the variables and clauses in sv's SAT core.
+func satSize(sv *Solver) (vars, clauses int) {
+	return sv.sat.NumVars(), sv.sat.NumClauses()
 }
 
 func TestConstNormalization(t *testing.T) {
@@ -285,12 +290,15 @@ func TestIncrementalReuse(t *testing.T) {
 	b, s := newSB()
 	x := b.Var("x", 8)
 	ten := b.ConstInt64(10, 8)
-	s.Assert(b.ULT(x, ten))
-	if got := s.Solve(b.UGE(x, ten)); got != Unsat {
-		t.Fatalf("asserted x<10, assumed x>=10: %v", got)
+	lt := b.ULT(x, ten)
+	if got := s.Solve(lt, b.UGE(x, ten)); got != Unsat {
+		t.Fatalf("assumed x<10 and x>=10: %v", got)
 	}
-	if got := s.Solve(b.Eq(x, b.ConstInt64(5, 8))); got != Sat {
+	if got := s.Solve(lt, b.Eq(x, b.ConstInt64(5, 8))); got != Sat {
 		t.Fatalf("x=5 under x<10: %v", got)
+	}
+	if got := s.Solve(lt); got != Sat {
+		t.Fatalf("x<10 alone: %v", got)
 	}
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("no assumptions: %v", got)
@@ -462,7 +470,7 @@ func TestBlastAgainstReference(t *testing.T) {
 	for iter := 0; iter < 120; iter++ {
 		w := []int{4, 5, 8}[rng.Intn(3)]
 		b := NewBuilder()
-		s := NewSolver(b)
+		s := NewSession(b, nil)
 		term := randTerm(rng, b, w, 3)
 		xv := big.NewInt(int64(rng.Intn(1 << uint(w))))
 		yv := big.NewInt(int64(rng.Intn(1 << uint(w))))
@@ -540,11 +548,10 @@ func contains(s, sub string) bool {
 func TestSolverStats(t *testing.T) {
 	b, s := newSB()
 	x := b.Var("x", 16)
-	s.Assert(b.ULT(x, b.ConstInt64(100, 16)))
-	if got := s.Solve(); got != Sat {
+	if got := s.Solve(b.ULT(x, b.ConstInt64(100, 16))); got != Sat {
 		t.Fatalf("%v", got)
 	}
-	vars, clauses := s.Stats()
+	vars, clauses := satSize(s.inc)
 	if vars == 0 || clauses == 0 {
 		t.Fatalf("stats empty: %d vars %d clauses", vars, clauses)
 	}
@@ -589,7 +596,7 @@ func BenchmarkBlastAdd32(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bld := NewBuilder()
-		s := NewSolver(bld)
+		s := NewSession(bld, nil)
 		x := bld.Var("x", 32)
 		y := bld.Var("y", 32)
 		q := bld.ULT(bld.Add(x, y), x)
@@ -604,7 +611,7 @@ func BenchmarkSolvePointerOverflowQuery(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bld := NewBuilder()
-		s := NewSolver(bld)
+		s := NewSession(bld, nil)
 		buf := bld.Var("buf", 64)
 		ln := bld.Var("len", 64)
 		ext := bld.Add(bld.ZExt(buf, 65), bld.ZExt(ln, 65))
@@ -620,7 +627,7 @@ func BenchmarkSolveMul16(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bld := NewBuilder()
-		s := NewSolver(bld)
+		s := NewSession(bld, nil)
 		x := bld.Var("x", 16)
 		y := bld.Var("y", 16)
 		q := bld.Eq(bld.Mul(x, y), bld.ConstInt64(12, 16))

@@ -258,8 +258,9 @@ func TestDifferentialSolverStack(t *testing.T) {
 		tFull := buildNode(full, tree)
 		tRef := buildNode(ref, tree)
 
-		refSolver := NewSolver(ref)
-		want := refSolver.Solve(tRef)
+		refSess := NewSession(ref, nil)
+		refSess.Scratch = true
+		want := refSess.Solve(tRef)
 		if got := sessInc.Solve(tFull); got != want {
 			t.Fatalf("case %d: incremental=%v reference=%v for %s", i, got, want, tRef)
 		}
@@ -272,8 +273,8 @@ func TestDifferentialSolverStack(t *testing.T) {
 		case Sat:
 			// Every model on offer must satisfy the unrewritten tree
 			// under concrete reference semantics.
-			if refSolver.HasModel() {
-				env := modelEnv(vars, func(n string, w int) *big.Int { return refSolver.Value(ref.Var(n, w)) })
+			if refSess.HasModel() {
+				env := modelEnv(vars, func(n string, w int) *big.Int { return refSess.Value(ref.Var(n, w)) })
 				if evalTerm(tRef, env).Sign() == 0 {
 					t.Fatalf("case %d: reference model %v falsifies %s", i, env, tRef)
 				}

@@ -59,7 +59,7 @@ func decodeEvalCase(data []byte) (*dNode, map[string]int, []map[string]*big.Int)
 // env with a unit assumption, and reads t's value from the model.
 func blastValue(t *testing.T, bld *Builder, term *Term, env map[string]*big.Int) *big.Int {
 	t.Helper()
-	sv := NewSolver(bld)
+	sv := newSolver(bld)
 	out := sv.bl.blast(bld, term)
 	var assume []sat.Lit
 	for _, in := range sv.bl.inputs {

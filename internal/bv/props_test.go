@@ -26,7 +26,7 @@ func lawAt(t *testing.T, name string, widths []int, build func(b *Builder, x, y,
 	t.Helper()
 	for _, w := range widths {
 		b := NewBuilder()
-		s := NewSolver(b)
+		s := NewSession(b, nil)
 		x := b.Var("x", w)
 		y := b.Var("y", w)
 		z := b.Var("z", w)
@@ -131,7 +131,7 @@ func TestLawLShrShlRoundTrip(t *testing.T) {
 	// For width ≥ 2: ((x << 1) >> 1) clears the top bit.
 	for _, w := range []int{4, 8} {
 		b := NewBuilder()
-		s := NewSolver(b)
+		s := NewSession(b, nil)
 		x := b.Var("x", w)
 		one := b.ConstInt64(1, w)
 		rt := b.LShr(b.Shl(x, one), one)
@@ -146,7 +146,7 @@ func TestLawLShrShlRoundTrip(t *testing.T) {
 func TestLawSExtPreservesSignedOrder(t *testing.T) {
 	for _, w := range []int{4, 8} {
 		b := NewBuilder()
-		s := NewSolver(b)
+		s := NewSession(b, nil)
 		x := b.Var("x", w)
 		y := b.Var("y", w)
 		prop := b.Eq(
@@ -162,7 +162,7 @@ func TestLawSExtPreservesSignedOrder(t *testing.T) {
 func TestLawZExtPreservesUnsignedOrder(t *testing.T) {
 	for _, w := range []int{4, 8} {
 		b := NewBuilder()
-		s := NewSolver(b)
+		s := NewSession(b, nil)
 		x := b.Var("x", w)
 		y := b.Var("y", w)
 		prop := b.Eq(
@@ -192,7 +192,7 @@ func TestLawITESelect(t *testing.T) {
 func TestUBConditionEncodings(t *testing.T) {
 	const w = 8
 	b := NewBuilder()
-	s := NewSolver(b)
+	s := NewSession(b, nil)
 	x := b.Var("x", w)
 	y := b.Var("y", w)
 
@@ -222,7 +222,7 @@ func TestUBConditionEncodings(t *testing.T) {
 
 func TestSolverManyQueriesIncremental(t *testing.T) {
 	b := NewBuilder()
-	s := NewSolver(b)
+	s := NewSession(b, nil)
 	x := b.Var("x", 16)
 	for i := 0; i < 50; i++ {
 		c := b.ConstInt64(int64(i), 16)
@@ -274,9 +274,9 @@ func TestExtractBoundsPanic(t *testing.T) {
 	b.Extract(b.Var("a", 8), 9, 0)
 }
 
-func ExampleSolver_Solve() {
+func ExampleSession_Solve() {
 	b := NewBuilder()
-	s := NewSolver(b)
+	s := NewSession(b, nil)
 	x := b.Var("x", 8)
 	// Is there an x with x + 1 < x (unsigned)? Yes: 255.
 	q := b.ULT(b.Add(x, b.ConstInt64(1, 8)), x)

@@ -7,7 +7,7 @@ package bv
 // the difference between answering a query with a table lookup and
 // running a full CDCL search: reachability and well-definedness terms
 // for straight-line code frequently fold to constants here, and
-// Solver.Solve short-circuits on them without touching the SAT core.
+// a Session query short-circuits on them without touching the SAT core.
 //
 // Every rule in this file must be sound under SMT-LIB QF_BV semantics
 // for all operand values — rewrite_test.go checks each rule against a

@@ -585,22 +585,22 @@ func TestRewriteSoundnessRandom(t *testing.T) {
 // are answered without touching the SAT core.
 func TestSolverConstFastPath(t *testing.T) {
 	b := NewBuilder()
-	s := NewSolver(b)
+	s := NewSession(b, nil)
 	x := b.Var("x", 8)
-	vars0, clauses0 := s.Stats()
+	vars0, clauses0 := satSize(newSolver(b))
 
 	// x <u 0 folds to false: Unsat with no SAT work.
 	if got := s.Solve(b.ULT(x, b.ConstInt64(0, 8))); got != Unsat {
 		t.Fatalf("const-false assumption: %v, want unsat", got)
 	}
-	// 0 <=u x folds to true and nothing is asserted: Sat with no SAT work.
+	// 0 <=u x folds to true: Sat with no SAT work.
 	if got := s.Solve(b.ULE(b.ConstInt64(0, 8), x)); got != Sat {
 		t.Fatalf("const-true assumption: %v, want sat", got)
 	}
 	if s.FastPaths != 2 {
 		t.Errorf("FastPaths = %d, want 2", s.FastPaths)
 	}
-	if vars, clauses := s.Stats(); vars != vars0 || clauses != clauses0 {
+	if vars, clauses := satSize(s.inc); vars != vars0 || clauses != clauses0 {
 		t.Errorf("SAT instance grew (%d→%d vars, %d→%d clauses) on constant queries",
 			vars0, vars, clauses0, clauses)
 	}

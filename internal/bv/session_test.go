@@ -252,11 +252,11 @@ func TestSessionWitnessChain(t *testing.T) {
 	inc := NewSession(bld, nil)
 	scr := NewSession(bld, nil)
 	scr.Scratch = true
-	plain := NewSolver(bld) // incremental, but keeps no assignments
+	plain := NewSession(bld, nil) // queried without its witness ring
 	for i, q := range chain {
 		ri, ci := inc.SolveCore(q...)
 		rs, cs := scr.SolveCore(q...)
-		plain.SolveCore(q...)
+		solvePlain(plain, true, q...)
 		if ri != rs || !reflect.DeepEqual(ci, cs) {
 			t.Fatalf("query %d: incremental %v %v, scratch %v %v", i, ri, ci, rs, cs)
 		}
@@ -310,6 +310,18 @@ func TestSessionWitnessChain(t *testing.T) {
 	}
 }
 
+// solvePlain runs a query through s's query steps without the witness
+// ring: a query its constants do not decide is always blasted and
+// searched, on the session's incremental solver, and no model is
+// stored.
+func solvePlain(s *Session, wantCore bool, q ...*Term) (Result, []int) {
+	sv := s.solverForQuery()
+	if res, core, ok := constShortcut(q); ok {
+		return res, core
+	}
+	return s.search(context.Background(), sv, q, wantCore)
+}
+
 // TestSessionRecycledMatchesFresh: a solver given back by a session
 // whose last query panicked mid-blast (a width-8 assumption after a
 // width-1 one that was blasted first) and handed to a new session over
@@ -324,9 +336,10 @@ func TestSessionRecycledMatchesFresh(t *testing.T) {
 	b := old.Var("b", 16)
 	prod := old.Mul(a, b)
 	used := NewSession(old, nil)
-	used.LearntBudget = 4
 	used.Solve(old.Eq(prod, old.ConstInt64(391, 16)), old.ULT(a, old.ConstInt64(100, 16)))
+	used.inc.sat.TrimLearnts(4)
 	used.SolveCore(old.Eq(a, old.ConstInt64(3, 16)), old.Eq(a, old.ConstInt64(4, 16)))
+	used.inc.sat.TrimLearnts(4)
 	blasts := used.Blasts()
 	func() {
 		defer func() {
@@ -357,7 +370,7 @@ func TestSessionRecycledMatchesFresh(t *testing.T) {
 		if spare != nil {
 			// Apart from its SAT core and blaster, the reset solver
 			// equals a new one field by field.
-			got, want := *spare, *NewSolver(bld)
+			got, want := *spare, *newSolver(bld)
 			got.sat, got.bl, want.sat, want.bl = nil, nil, nil, nil
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("reset solver %+v, new solver %+v", got, want)
@@ -372,7 +385,7 @@ func TestSessionRecycledMatchesFresh(t *testing.T) {
 			}
 			log = append(log, entry)
 		}
-		vars, clauses := s.inc.Stats()
+		vars, clauses := satSize(s.inc)
 		log = append(log, fmt.Sprint("queries ", s.Queries, " fast ", s.FastPaths, " timeouts ", s.Timeouts,
 			" blasts ", s.Blasts(), " passes ", s.BlastPasses, " reused ", s.LearntsReused,
 			" dropped ", s.LearntsDropped(), " hits ", s.WitnessHits, " vars ", vars, " clauses ", clauses,

@@ -53,14 +53,6 @@ type Options struct {
 	MinUBSets bool
 	// Inline runs the IR inliner before checking (paper §4.2).
 	Inline bool
-	// LearntBudget, when positive, bounds the learned clauses each
-	// function's incremental session carries between queries (see
-	// bv.Session.LearntBudget). Zero means unbounded, the historical
-	// behavior. The budget changes solver effort, not verdicts on
-	// decided queries, but like Timeout/MaxConflictsPerQuery it can
-	// flip a near-limit query to Unknown, so strict differential
-	// comparisons leave it unset.
-	LearntBudget int
 	// ScratchSolve disables incremental solving: every solver query is
 	// decided by a fresh SAT core over a freshly blasted encoding, as if
 	// it were the only query ever issued. Reports, counts, and the
@@ -219,7 +211,6 @@ func (c *Checker) CheckFunc(ctx context.Context, f *ir.Func) ([]*Report, error) 
 	solver.Timeout = c.opts.Timeout
 	solver.MaxConflicts = c.opts.MaxConflictsPerQuery
 	solver.Scratch = c.opts.ScratchSolve
-	solver.LearntBudget = c.opts.LearntBudget
 	// The SSA pass stack rewrites the function before anything reads
 	// it: UB conditions, the encoder's caches, and every report anchor
 	// must see the final IR. The passes touch no blocks or edges, so

@@ -47,7 +47,7 @@ type Stats struct {
 	// CacheHits counts term constructions answered by the builder's
 	// hash-consing table (chain canonicalization exists to drive this
 	// up); LearntsDropped counts learned clauses discarded by the SAT
-	// layer's database reductions and session learnt budgets;
+	// core's mid-search database reductions;
 	// ArenaBytesReused counts term-allocator bytes served from recycled
 	// slabs instead of fresh heap allocations (zero until a function has
 	// been checked on a warm arena).

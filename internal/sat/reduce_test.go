@@ -175,8 +175,8 @@ func TestReduceDBRetention(t *testing.T) {
 	arenaConsistent(t, s)
 }
 
-// TestReduceDBFloor: below the floor reduceDB is a no-op; with
-// geometric growth configured, each reduction raises the floor.
+// TestReduceDBFloor: below the floor reduceDB is a no-op; at or above
+// it, reduceDB drops clauses.
 func TestReduceDBFloor(t *testing.T) {
 	s := New()
 	v := lits(s, 20)
@@ -192,13 +192,9 @@ func TestReduceDBFloor(t *testing.T) {
 	}
 
 	s.LearntFloor = 4
-	s.LearntFloorGrowth = 2
 	s.reduceDB()
 	if len(s.learnts) >= n {
 		t.Fatalf("reduceDB above floor dropped nothing")
-	}
-	if s.LearntFloor != 8 {
-		t.Fatalf("floor after reduction = %d, want 8 (geometric growth)", s.LearntFloor)
 	}
 	arenaConsistent(t, s)
 }

@@ -70,7 +70,7 @@ func usedSolver(seed int64) *Solver {
 	}
 	s.Ctx = context.Background()
 	s.MaxConflicts = 1 << 20
-	s.LearntFloor, s.LearntFloorGrowth = 8, 1.5
+	s.LearntFloor = 8
 	for q := 0; q < 12; q++ {
 		var assume []Lit
 		for g := range acts {

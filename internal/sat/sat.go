@@ -180,14 +180,9 @@ type Solver struct {
 	// MaxConflicts, if nonzero, bounds the number of conflicts per
 	// Solve call before returning Unknown.
 	MaxConflicts int64
-	// LearntFloor is the learnt-count below which reduceDB is a no-op.
-	// It starts at learntFloorBase and grows geometrically by
-	// LearntFloorGrowth after each reduction, so long-lived incremental
-	// solvers are allowed a progressively larger working set instead of
-	// thrashing the same ceiling. The default growth of 1 reproduces
-	// the historical fixed floor of 100.
-	LearntFloor       int
-	LearntFloorGrowth float64
+	// LearntFloor is the learnt-count below which reduceDB is a no-op;
+	// it starts at learntFloorBase.
+	LearntFloor int
 	// LearntsDropped counts learned clauses removed by reduceDB and
 	// TrimLearnts over the solver's lifetime.
 	LearntsDropped int64
@@ -279,28 +274,27 @@ func (s *Solver) Reset() {
 		s.watches[i] = s.watches[i][:0]
 	}
 	*s = Solver{
-		arena:             s.arena[:0],
-		clauses:           s.clauses[:0],
-		learnts:           s.learnts[:0],
-		watches:           s.watches[:0],
-		vals:              s.vals[:0],
-		info:              s.info[:0],
-		trail:             s.trail[:0],
-		trailLim:          s.trailLim[:0],
-		activity:          s.activity[:0],
-		varInc:            1,
-		claInc:            1,
-		order:             s.order,
-		seen:              s.seen[:0],
-		model:             s.model[:0],
-		conflCore:         s.conflCore[:0],
-		ok:                true,
-		LearntFloor:       learntFloorBase,
-		LearntFloorGrowth: 1,
-		analyzeBuf:        s.analyzeBuf[:0],
-		touchedBuf:        s.touchedBuf[:0],
-		medianBuf:         s.medianBuf[:0],
-		addBuf:            s.addBuf[:0],
+		arena:       s.arena[:0],
+		clauses:     s.clauses[:0],
+		learnts:     s.learnts[:0],
+		watches:     s.watches[:0],
+		vals:        s.vals[:0],
+		info:        s.info[:0],
+		trail:       s.trail[:0],
+		trailLim:    s.trailLim[:0],
+		activity:    s.activity[:0],
+		varInc:      1,
+		claInc:      1,
+		order:       s.order,
+		seen:        s.seen[:0],
+		model:       s.model[:0],
+		conflCore:   s.conflCore[:0],
+		ok:          true,
+		LearntFloor: learntFloorBase,
+		analyzeBuf:  s.analyzeBuf[:0],
+		touchedBuf:  s.touchedBuf[:0],
+		medianBuf:   s.medianBuf[:0],
+		addBuf:      s.addBuf[:0],
 	}
 	s.order.reset()
 }
@@ -679,9 +673,7 @@ func luby(i int64) int64 {
 }
 
 // reduceDB removes roughly half of the learned clauses, preferring low
-// activity. Below the adaptive floor (LearntFloor, growing by
-// LearntFloorGrowth after every reduction) it is a no-op, so a solver
-// that keeps proving useful conflicts earns a larger retained set.
+// activity. Below LearntFloor learnts it is a no-op.
 func (s *Solver) reduceDB() {
 	if s.LearntFloor <= 0 {
 		s.LearntFloor = learntFloorBase
@@ -691,9 +683,6 @@ func (s *Solver) reduceDB() {
 	}
 	med := s.medianActivity()
 	s.dropBelow(med)
-	if s.LearntFloorGrowth > 1 {
-		s.LearntFloor = int(float64(s.LearntFloor) * s.LearntFloorGrowth)
-	}
 }
 
 // medianActivity returns the median learnt activity, using the
@@ -724,10 +713,10 @@ func (s *Solver) dropBelow(med float64) {
 
 // TrimLearnts shrinks the learned-clause database toward target by
 // dropping low-activity clauses, between searches rather than mid-
-// search. It is the hook incremental sessions use to keep a
-// long-lived solver's memory bounded across many Solve calls. Locked
-// and binary clauses are always retained, so the result may exceed
-// target. It must not be called mid-search.
+// search. The checker never calls it; the pinned-search and reset
+// tests use it to drop learnts between calls. Locked and binary
+// clauses are always retained, so the result may exceed target. It
+// must not be called mid-search.
 func (s *Solver) TrimLearnts(target int) {
 	if target < 0 || len(s.learnts) <= target {
 		return

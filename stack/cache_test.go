@@ -192,7 +192,6 @@ func TestCacheKeyOptionSensitivity(t *testing.T) {
 		"FilterOrigins":                   func(o *core.Options) { o.FilterOrigins = !o.FilterOrigins },
 		"MinUBSets":                       func(o *core.Options) { o.MinUBSets = !o.MinUBSets },
 		"Inline":                          func(o *core.Options) { o.Inline = !o.Inline },
-		"LearntBudget":                    func(o *core.Options) { o.LearntBudget++ },
 		"ScratchSolve":                    func(o *core.Options) { o.ScratchSolve = !o.ScratchSolve },
 		"SSA":                             func(o *core.Options) { o.SSA = !o.SSA },
 		"Flags.WrapV":                     func(o *core.Options) { o.Flags.WrapV = !o.Flags.WrapV },

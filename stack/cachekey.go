@@ -45,10 +45,10 @@ const entrySchemaVersion = 1
 func optionsFingerprint(o core.Options) []byte {
 	return []byte(fmt.Sprintf(
 		"Timeout=%d;MaxConflictsPerQuery=%d;FilterOrigins=%t;MinUBSets=%t;"+
-			"Inline=%t;LearntBudget=%d;ScratchSolve=%t;SSA=%t;"+
+			"Inline=%t;ScratchSolve=%t;SSA=%t;"+
 			"Flags.WrapV=%t;Flags.NoStrictOverflow=%t;Flags.NoDeleteNullPointerChecks=%t",
 		int64(o.Timeout), o.MaxConflictsPerQuery, o.FilterOrigins, o.MinUBSets,
-		o.Inline, o.LearntBudget, o.ScratchSolve, o.SSA,
+		o.Inline, o.ScratchSolve, o.SSA,
 		o.Flags.WrapV, o.Flags.NoStrictOverflow, o.Flags.NoDeleteNullPointerChecks,
 	))
 }

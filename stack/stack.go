@@ -122,13 +122,6 @@ func WithOriginFilter(on bool) Option {
 	return func(c *config) { c.opts.FilterOrigins = on }
 }
 
-// WithScratchSolving disables incremental solving: every query runs on
-// a fresh SAT core, the differential-test reference mode. Diagnostics
-// are identical either way; only the work differs.
-func WithScratchSolving(on bool) Option {
-	return func(c *config) { c.opts.ScratchSolve = on }
-}
-
 // WithSSA toggles the pruned-SSA pass stack run over each function
 // before encoding: mem2reg promotion of non-escaping allocas, sparse
 // conditional constant propagation, dominator-ordered value numbering,
@@ -147,16 +140,6 @@ func WithScratchSolving(on bool) Option {
 // SSASharpened).
 func WithSSA(on bool) Option {
 	return func(c *config) { c.opts.SSA = on }
-}
-
-// WithLearntBudget bounds the learned clauses an incremental solving
-// session carries from one query into the next: after each query the
-// learnt database is trimmed toward n (locked and binary clauses
-// always survive). Bounds a long session's solver memory at a small
-// cost in rediscovered conflicts. Zero (the default) means unbounded;
-// ignored under WithScratchSolving, where nothing outlives a query.
-func WithLearntBudget(n int) Option {
-	return func(c *config) { c.opts.LearntBudget = n }
 }
 
 // WithCache attaches a content-addressed result cache: before building
