@@ -29,8 +29,9 @@ package bv
 // reference mode a faithful as-constructed interner.
 
 import (
+	"cmp"
 	"math/big"
-	"sort"
+	"slices"
 )
 
 // maxChainLeaves bounds the flattened chain length canonicalization
@@ -49,21 +50,20 @@ func acCommutative(op Op) bool {
 	return false
 }
 
-// flattenAC appends the leaves of t's op-chain to *dst in encounter
-// order, recursing through nested nodes of the same op. It returns
-// spine=false when t (as a right operand somewhere) breaks the
-// left-nested canonical shape, and ok=false when the chain exceeds
-// maxChainLeaves.
-func flattenAC(op Op, t *Term, dst *[]*Term) (ok bool) {
+// flattenAC appends the leaves of t's op-chain to dst in encounter
+// order, recursing through nested nodes of the same op, and returns
+// the extended slice. ok is false when the chain exceeds
+// maxChainLeaves. dst goes in and out by value, so a caller's stack
+// array can back it without escaping to the heap.
+func flattenAC(op Op, t *Term, dst []*Term) (_ []*Term, ok bool) {
 	if t.op != op {
-		if len(*dst) >= maxChainLeaves {
-			return false
+		if len(dst) >= maxChainLeaves {
+			return dst, false
 		}
-		*dst = append(*dst, t)
-		return true
+		return append(dst, t), true
 	}
-	if !flattenAC(op, t.args[0], dst) {
-		return false
+	if dst, ok = flattenAC(op, t.args[0], dst); !ok {
+		return dst, false
 	}
 	return flattenAC(op, t.args[1], dst)
 }
@@ -117,8 +117,11 @@ func foldConstAC(op Op, width int, acc, v *big.Int) *big.Int {
 // only appear inside the chains, never as both top-level operands.
 func (b *Builder) canonChain(op Op, x, y *Term) *Term {
 	var buf [maxChainLeaves]*Term
-	leaves := buf[:0]
-	if !flattenAC(op, x, &leaves) || !flattenAC(op, y, &leaves) {
+	leaves, ok := flattenAC(op, x, buf[:0])
+	if ok {
+		leaves, ok = flattenAC(op, y, leaves)
+	}
+	if !ok {
 		return nil // chain too long: intern as built
 	}
 
@@ -185,7 +188,7 @@ func (b *Builder) canonChain(op Op, x, y *Term) *Term {
 		// the rebuild generates.
 		b.RewriteHits++
 	}
-	sort.SliceStable(vars, func(i, j int) bool { return vars[i].id < vars[j].id })
+	slices.SortStableFunc(vars, func(s, t *Term) int { return cmp.Compare(s.id, t.id) })
 
 	// Collapse duplicate leaves, now adjacent after sorting: and/or are
 	// idempotent (x∧x = x), xor is self-inverse (pairs cancel). Add and
