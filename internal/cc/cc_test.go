@@ -245,6 +245,57 @@ func TestPreprocessChainDepthBounded(t *testing.T) {
 	}
 }
 
+// wantParseDepthError fails t unless err is the named *Error for the
+// parser's depth bound.
+func wantParseDepthError(t *testing.T, err error) {
+	t.Helper()
+	var e *Error
+	if want := fmt.Sprintf("nesting deeper than %d", maxParseDepth); !errors.As(err, &e) || e.Msg != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
+// TestParseDepthBound: every nesting shape parses and type-checks at
+// maxParseDepth, and one level deeper is the named error.
+func TestParseDepthBound(t *testing.T) {
+	for _, sh := range parseShapes {
+		file, err := Parse("deep.c", sh.src(maxParseDepth, ""))
+		if err != nil {
+			t.Fatalf("%s at the bound: %v", sh.name, err)
+		}
+		if err := Check(file); err != nil {
+			t.Fatalf("%s at the bound: check: %v", sh.name, err)
+		}
+		_, err = Parse("deep.c", sh.src(maxParseDepth+1, ""))
+		wantParseDepthError(t, err)
+	}
+}
+
+// TestParseDeepInputsBounded: a 4 MB source of each shape, nested
+// over 100,000 deep, is the named error, and the parser reaches it at
+// once: it stops at the bound instead of recursing through the input.
+// Only the parse is timed; tokenizing 4 MB is linear and untouched by
+// the bound. A space pad between the nesting tokens keeps the token
+// count, and so the test's memory, at a quarter million.
+func TestParseDeepInputsBounded(t *testing.T) {
+	const size = 4 << 20
+	pad := strings.Repeat(" ", 31)
+	for _, sh := range parseShapes {
+		perLevel := len(sh.src(3, pad)) - len(sh.src(2, pad))
+		src := sh.src(size/perLevel+2, pad)
+		toks, err := NewPreprocessor().Preprocess("deep.c", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = ParseTokens("deep.c", toks)
+		wantParseDepthError(t, err)
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("%s: rejecting %d bytes took %v", sh.name, len(src), d)
+		}
+	}
+}
+
 // TestPreprocessAllocs: expanding the macro-heavy benchmark's MIX
 // chain allocates per file, not per token or per expansion step. The
 // copy-per-step expander made 38,121 allocations here, the

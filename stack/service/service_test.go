@@ -170,6 +170,33 @@ func TestAnalyzeRejectsNestedMacroArguments(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsDeepNesting: a 200 KB source nesting parentheses
+// 100,000 deep, past the parser's depth bound, is a frontend rejection
+// (422) naming the bound, not a stack overflow that kills the process,
+// and the server goes on answering.
+func TestAnalyzeRejectsDeepNesting(t *testing.T) {
+	srv := newTestServer(Options{})
+	src := "int f(int x) { return " + strings.Repeat("(", 100000) + "x" + strings.Repeat(")", 100000) + "; }\n"
+	body, err := json.Marshal(map[string]string{"name": "deep.c", "source": src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := doJSON(t, srv, http.MethodPost, "/v1/analyze", string(body))
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422 (body %s)", w.Code, w.Body.String())
+	}
+	if !strings.Contains(w.Body.String(), "nesting deeper than 1000") {
+		t.Errorf("error body %s does not name the nesting bound", w.Body.String())
+	}
+	body, err = json.Marshal(map[string]string{"name": "fig1.c", "source": fig1Src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := doJSON(t, srv, http.MethodPost, "/v1/analyze", string(body)); w.Code != http.StatusOK {
+		t.Fatalf("next request: status = %d, want 200 (body %s)", w.Code, w.Body.String())
+	}
+}
+
 func TestAnalyzeSaturation(t *testing.T) {
 	srv := newTestServer(Options{MaxConcurrent: 1})
 	// Occupy the only slot, as a long-running analysis would.
