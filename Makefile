@@ -34,8 +34,8 @@ vulncheck:
 
 # Structural invariants (one emitter; append-only diagnostic codes;
 # complete cache fingerprint; accounted SSA passes; one per-file
-# pipeline), plus the script's own self-test proving the checks can
-# fail.
+# pipeline; no unshipped options), plus the script's own self-test
+# proving the checks can fail.
 invariants:
 	./scripts/invariants.sh
 	./scripts/invariants.sh --self-test

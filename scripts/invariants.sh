@@ -42,6 +42,12 @@
 #      and internal/corpus/; a second call site is a second pipeline,
 #      with its own cache, stats and error policy to drift apart.
 #
+#   6. No unshipped options. Every exported With* option declared in a
+#      non-test Go file directly in stack/ must be called from a
+#      non-test Go file under cmd/ or from stack/flags.go (the flags
+#      every CLI shares). An option no command can set is surface
+#      nothing ships, kept alive only by its own tests.
+#
 # Usage:
 #   scripts/invariants.sh              # check the repository
 #   scripts/invariants.sh --self-test  # prove the checks can fail
@@ -215,6 +221,32 @@ check_one_pipeline() {
 		return 1
 	fi
 	echo "invariants: ok: one per-file pipeline"
+}
+
+# check_shipped_options DIR — every exported With* function declared in
+# a non-test Go file directly in DIR/stack must be called from a
+# non-test Go file under DIR/cmd or from DIR/stack/flags.go. Comment
+# lines do not count as calls.
+check_shipped_options() {
+	local root="$1" bad=0 opt opts callers
+	opts="$(find "$root/stack" -maxdepth 1 -name '*.go' ! -name '*_test.go' -type f -exec grep -hoE '^func With[A-Z][[:alnum:]_]*\(' {} + | sed 's/^func //; s/($//' | sort -u)"
+	if [ -z "$opts" ]; then
+		echo "invariants: FAIL: no With* options parsed from $root/stack" >&2
+		return 1
+	fi
+	callers="$({
+		[ -d "$root/cmd" ] && go_sources "$root/cmd"
+		[ -f "$root/stack/flags.go" ] && echo "$root/stack/flags.go"
+	} || true)"
+	while IFS= read -r opt; do
+		# shellcheck disable=SC2086
+		if [ -z "$callers" ] || ! grep -hv '^[[:space:]]*//' $callers | grep -qE "(^|[^[:alnum:]_])$opt\("; then
+			echo "invariants: FAIL: stack.$opt is called from no non-test file under cmd/ nor from stack/flags.go (no unshipped options)" >&2
+			bad=1
+		fi
+	done <<<"$opts"
+	[ "$bad" -eq 0 ] || return 1
+	echo "invariants: ok: every stack.With* option is shipped"
 }
 
 self_test() {
@@ -410,10 +442,44 @@ self_test() {
 		pass=1
 	fi
 
+	# Options called from cmd/ or stack/flags.go pass; a rogue
+	# WithUnused, named only in a comment, must fail.
+	mkdir -p "$tmp/h/stack" "$tmp/h/cmd/tool"
+	cat >"$tmp/h/stack/stack.go" <<-'EOF'
+		package stack
+
+		func WithUsed(on bool) Option { return nil }
+
+		func WithFlagged(n int) Option { return nil }
+	EOF
+	cat >"$tmp/h/stack/flags.go" <<-'EOF'
+		package stack
+
+		func (f *Flags) Options() []Option { return []Option{WithFlagged(f.n)} }
+	EOF
+	cat >"$tmp/h/cmd/tool/main.go" <<-'EOF'
+		package main
+
+		// Not stack.WithUnused(true): a comment is not a call.
+		func main() { stack.New(stack.WithUsed(true)) }
+	EOF
+	if ! check_shipped_options "$tmp/h" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: shipped options rejected" >&2
+		pass=1
+	fi
+	cat >>"$tmp/h/stack/stack.go" <<-'EOF'
+
+		func WithUnused(on bool) Option { return nil }
+	EOF
+	if check_shipped_options "$tmp/h" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: unshipped WithUnused not detected" >&2
+		pass=1
+	fi
+
 	if [ "$pass" -ne 0 ]; then
 		return 1
 	fi
-	echo "invariants: self-test ok (12 cases)"
+	echo "invariants: self-test ok (14 cases)"
 }
 
 if [ "${1:-}" = "--self-test" ]; then
@@ -426,3 +492,4 @@ check_codes "$ROOT" "$ROOT/scripts/codes.manifest"
 check_fingerprint "$ROOT/internal/core/checker.go" "$ROOT/stack/cachekey.go"
 check_ssa_passes "$ROOT/internal/ir/analysis.go" "$ROOT/internal/core/stats.go" "$ROOT/internal"
 check_one_pipeline "$ROOT"
+check_shipped_options "$ROOT"
