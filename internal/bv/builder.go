@@ -25,7 +25,9 @@ type Builder struct {
 	//
 	// TermsCreated counts interned nodes; CacheHits counts hash-consing
 	// hits; RewriteHits counts constructions answered by the word-level
-	// rewrite engine (rewrite.go) without creating a new node.
+	// rewrite engine (rewrite.go) without creating a new node. The hits
+	// count the constructions callers request, so a caller that keeps
+	// a term it built, as the checker keeps its ∆ terms, lowers them.
 	TermsCreated int
 	CacheHits    int
 	RewriteHits  int
@@ -37,9 +39,13 @@ type key struct {
 	a0, a1, a2 int // arg IDs; -1 if absent
 }
 
+// constKey identifies a constant by its width and its value modulo
+// 2^width, split so that a constant up to 64 bits wide is keyed
+// without allocating.
 type constKey struct {
 	width int
-	val   string // big.Int text; exact
+	lo    uint64 // the low 64 bits
+	hi    string // the bits above 64 in hex; empty at width ≤ 64
 }
 
 // NewBuilder returns an empty term builder.
@@ -120,26 +126,47 @@ func mask(width int) *big.Int {
 	return m.Sub(m, big.NewInt(1))
 }
 
+// mask64 is mask for width ≤ 64.
+func mask64(width int) uint64 {
+	return ^uint64(0) >> (64 - width)
+}
+
 // Const returns the constant v (interpreted modulo 2^width) of the
 // given width.
 func (b *Builder) Const(v *big.Int, width int) *Term {
 	if width <= 0 {
 		panic("bv: nonpositive width")
 	}
-	norm := new(big.Int).And(new(big.Int).Set(v), mask(width))
-	if norm.Sign() < 0 { // big.Int.And of negative handled above; belt+braces
-		norm.Add(norm, new(big.Int).Lsh(big.NewInt(1), uint(width)))
+	if width <= 64 {
+		// Uint64 is the low 64 bits of |v|; negating them modulo 2^64
+		// gives the low 64 bits of v in two's complement.
+		lo := v.Uint64()
+		if v.Sign() < 0 {
+			lo = -lo
+		}
+		return b.internConst(constKey{width: width, lo: lo & mask64(width)}, nil)
 	}
-	ck := constKey{width, norm.Text(16)}
-	if ex, ok := b.consts[ck]; ok {
+	norm := new(big.Int).And(v, mask(width))
+	hi := new(big.Int).Rsh(norm, 64).Text(16)
+	return b.internConst(constKey{width, norm.Uint64(), hi}, norm)
+}
+
+// internConst returns the unique constant with key k, creating it on
+// first use. norm is its value, or nil at width ≤ 64, where the value
+// is built from k only when the term is new.
+func (b *Builder) internConst(k constKey, norm *big.Int) *Term {
+	if ex, ok := b.consts[k]; ok {
 		b.CacheHits++
 		return ex
 	}
+	if norm == nil {
+		norm = new(big.Int).SetUint64(k.lo)
+	}
 	t := b.alloc()
-	t.op, t.width, t.val, t.id = OpConst, width, norm, b.nextID
+	t.op, t.width, t.val, t.id = OpConst, k.width, norm, b.nextID
 	b.nextID++
 	b.TermsCreated++
-	b.consts[ck] = t
+	b.consts[k] = t
 	return t
 }
 

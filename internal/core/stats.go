@@ -33,6 +33,9 @@ type Stats struct {
 	// RewriteHits counts term constructions answered by bv's word-level
 	// rewrite rules; TermsCreated counts interned term nodes; FastPaths
 	// counts solver queries decided from constants without CDCL search.
+	// RewriteHits and CacheHits count the constructions the checker
+	// asks the builder for: a ∆ term the checker has memoized for the
+	// function is not asked for again, so it counts once.
 	RewriteHits  int64 `json:"rewriteHits" prom:"stackd_solver_rewrite_hits_total" help:"Term constructions answered by word-level rewrites."`
 	TermsCreated int64 `json:"termsCreated" prom:"stackd_solver_terms_created_total" help:"Interned term nodes created."`
 	FastPaths    int64 `json:"fastPaths" prom:"stackd_solver_fast_paths_total" help:"Queries decided from constants without CDCL search."`
