@@ -239,8 +239,11 @@ check_shipped_options() {
 		[ -f "$root/stack/flags.go" ] && echo "$root/stack/flags.go"
 	} || true)"
 	while IFS= read -r opt; do
+		# The second grep reads to the end (no -q): with pipefail, one
+		# that exits at its first match can kill the first with SIGPIPE
+		# and fail the pipeline although the option is called.
 		# shellcheck disable=SC2086
-		if [ -z "$callers" ] || ! grep -hv '^[[:space:]]*//' $callers | grep -qE "(^|[^[:alnum:]_])$opt\("; then
+		if [ -z "$callers" ] || ! grep -hv '^[[:space:]]*//' $callers | grep -E "(^|[^[:alnum:]_])$opt\(" >/dev/null; then
 			echo "invariants: FAIL: stack.$opt is called from no non-test file under cmd/ nor from stack/flags.go (no unshipped options)" >&2
 			bad=1
 		fi
