@@ -267,7 +267,7 @@ func (c *Checker) newFuncState(ctx context.Context, f *ir.Func, bld *bv.Builder)
 		seen:       map[int]bool{},
 	}
 	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
+		for v := range b.All() {
 			for _, u := range ubs[v] {
 				if c.opts.Flags.definesAway(u.Kind) {
 					continue // §7: the flag promises defined behavior
@@ -503,24 +503,13 @@ func (st *funcState) simplify() []*Report {
 	// not only branch conditions (Fig. 6). Expressions whose value
 	// only flows into branches that elimination already folded are the
 	// same unstable check and are not re-reported.
-	uses := map[*ir.Value][]*ir.Value{}
-	condBrOf := map[*ir.Value][]*ir.Block{}
-	for _, b := range st.f.Blocks {
-		for _, v := range b.Values() {
-			for _, a := range v.Args {
-				uses[a] = append(uses[a], v)
-			}
-		}
-		if b.Term != nil && b.Term.Op == ir.OpCondBr {
-			condBrOf[b.Term.Args[0]] = append(condBrOf[b.Term.Args[0]], b)
-		}
-	}
+	uses := ir.NewDefUse(st.f)
 	for _, b := range st.f.Blocks {
 		if st.eliminated[b] {
 			continue
 		}
 		for _, v := range b.Instrs {
-			if v.Op == ir.OpICmp && !seen[v] && !st.sinksOnlyToFoldedBranches(v, uses, condBrOf, map[*ir.Value]bool{}) {
+			if v.Op == ir.OpICmp && !seen[v] && !st.sinksOnlyToFoldedBranches(v, uses, map[*ir.Value]bool{}) {
 				seen[v] = true
 				sites = append(sites, condSite{b, v})
 			}
@@ -557,30 +546,25 @@ func (st *funcState) simplify() []*Report {
 // sinksOnlyToFoldedBranches reports whether every transitive consumer
 // of boolean value v is a conditional branch one of whose successors
 // elimination removed — i.e. the instability was already reported.
-func (st *funcState) sinksOnlyToFoldedBranches(v *ir.Value, uses map[*ir.Value][]*ir.Value, condBrOf map[*ir.Value][]*ir.Block, visiting map[*ir.Value]bool) bool {
+func (st *funcState) sinksOnlyToFoldedBranches(v *ir.Value, uses ir.DefUse, visiting map[*ir.Value]bool) bool {
 	if visiting[v] {
 		return true // cycle through a phi: no independent sink
 	}
 	visiting[v] = true
 	defer delete(visiting, v)
-	us := uses[v]
-	brs := condBrOf[v]
-	if len(us) == 0 && len(brs) == 0 {
+	us := uses.Users(v)
+	if len(us) == 0 {
 		return false // dead value: treat as independent
 	}
-	for _, b := range brs {
-		if !st.eliminated[b.Succs[0]] && !st.eliminated[b.Succs[1]] {
-			return false // feeds a live branch: the branch site covers it
-		}
-	}
 	for _, u := range us {
-		if u.Op == ir.OpCondBr {
-			continue // handled via condBrOf above
-		}
-		if u.Width != 1 {
+		switch {
+		case u.Op == ir.OpCondBr:
+			if !st.eliminated[u.Block.Succs[0]] && !st.eliminated[u.Block.Succs[1]] {
+				return false // feeds a live branch: the branch site covers it
+			}
+		case u.Width != 1:
 			return false // escapes into non-boolean computation
-		}
-		if !st.sinksOnlyToFoldedBranches(u, uses, condBrOf, visiting) {
+		case !st.sinksOnlyToFoldedBranches(u, uses, visiting):
 			return false
 		}
 	}
@@ -824,7 +808,7 @@ func (st *funcState) minimalUBSet(h *bv.Term, negs []*bv.Term, conds []*UBCond, 
 
 // blockPos picks the report position for an eliminated block.
 func blockPos(b *ir.Block) cc.Pos {
-	for _, v := range b.Values() {
+	for v := range b.All() {
 		if v.Pos.IsValid() {
 			return v.Pos
 		}
@@ -833,7 +817,7 @@ func blockPos(b *ir.Block) cc.Pos {
 }
 
 func blockOrigin(b *ir.Block) string {
-	for _, v := range b.Values() {
+	for v := range b.All() {
 		if v.Pos.IsValid() && v.Origin != "" {
 			return v.Origin
 		}

@@ -68,7 +68,7 @@ func insertUBConds(f *ir.Func) map[*ir.Value][]*UBCond {
 	var frees []*ir.Value    // free(p) calls
 	var reallocs []*ir.Value // realloc(p, n) calls
 	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
+		for v := range b.All() {
 			switch v.Op {
 			case ir.OpPtrAdd:
 				add(v, UBPointerOverflow, nil)

@@ -103,13 +103,80 @@ func RunSSAPasses(f *Func, dom *DomTree) PassStats {
 }
 
 // gvnKey is the structural identity of a candidate instruction. Args
-// are value IDs after renumbering (candidates have at most two).
+// are value IDs after renumbering (candidates have at most two), -1
+// where absent. No candidate has op OpInvalid, so the zero key marks
+// an empty gvnTable slot.
 type gvnKey struct {
-	op         Op
-	width      int
-	signed     bool
 	aux, aux2  int64
-	arg0, arg1 int
+	arg0, arg1 int32
+	width      int32
+	op         Op
+	signed     bool
+}
+
+func (k *gvnKey) hash() uint64 {
+	h := uint64(uint32(k.arg0))<<32 | uint64(uint32(k.arg1))
+	h ^= uint64(k.aux)*0x9e3779b97f4a7c15 ^ uint64(k.aux2)*0xc2b2ae3d27d4eb4f
+	tag := uint64(k.width)<<9 | uint64(k.op)<<1
+	if k.signed {
+		tag |= 1
+	}
+	h ^= tag * 0x165667b19e3779f9
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>32
+}
+
+// gvnTable is GVN's scoped value table, an open-addressing hash table
+// with linear probing. Each slot holds one key seen in this GVN call
+// and the oldest value with that key still in scope (nil once all of
+// them left it); gvnVal.next links that value to the next newer one,
+// so candidates are tried oldest first. A key keeps its slot for the
+// whole call, so the table never deletes: leaving a scope only
+// unlinks the newest value of a key.
+type gvnTable []gvnSlot
+
+type gvnSlot struct {
+	key  gvnKey
+	head *Value
+}
+
+// newGVNTable sizes a table for up to n keys at a load of at most 2/3.
+func newGVNTable(n int) gvnTable {
+	size := 8
+	for size < n+n/2 {
+		size <<= 1
+	}
+	return make(gvnTable, size)
+}
+
+// slot returns k's slot, claiming an empty one for a new key.
+func (t gvnTable) slot(k gvnKey) *gvnSlot {
+	mask := uint64(len(t) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		s := &t[i]
+		if s.key == k {
+			return s
+		}
+		if s.key.op == OpInvalid {
+			s.key = k
+			return s
+		}
+	}
+}
+
+// gvnVal is GVN's state for one value, indexed by Value.ID.
+type gvnVal struct {
+	redirect *Value // the representative this value merged into
+	next     *Value // the next newer value in scope with the same key
+	remove   bool   // delete the instruction after the walk
+}
+
+// gvnUndo records one table insertion, undone when its block's scope
+// ends: prev is the value that was newest for the key before (nil if
+// the inserted value became the slot's head).
+type gvnUndo struct {
+	slot *gvnSlot
+	prev *Value
 }
 
 // gvnCandidate reports whether v may participate in value numbering.
@@ -143,7 +210,7 @@ func gvnCandidate(v *Value) bool {
 // firstAnchor returns the block's first position-carrying value — the
 // instruction report positions anchor at — or nil.
 func firstAnchor(b *Block) *Value {
-	for _, v := range b.Values() {
+	for v := range b.All() {
 		if v.Pos.IsValid() {
 			return v
 		}
@@ -182,25 +249,36 @@ func gvnCarriesUBCond(v *Value) bool {
 // block's report-position anchor or a cross-block UB-condition carrier
 // (see gvnCarriesUBCond). Returns the same-block and cross-block merge
 // counts.
+//
+// Per-value state (redirects, removals, table links) lives in one
+// slice indexed by Value.ID, the dominator-tree children in a slice
+// indexed by Block.ID, and layout order is Block.ID itself. This
+// relies on the ID invariant of Func.NewValueID: value IDs are unique
+// within f and at most its last allocated ID, and every Block.ID is
+// the block's index in f.Blocks.
 func GVN(f *Func, dom *DomTree) (sameBlock, crossBlock int) {
-	redirect := map[*Value]*Value{}
-	resolve := func(v *Value) *Value {
-		for {
-			r, ok := redirect[v]
-			if !ok {
-				return v
+	cands := 0
+	for _, b := range f.Blocks {
+		for _, v := range b.Instrs {
+			if gvnCandidate(v) {
+				cands++
 			}
-			v = r
 		}
 	}
-	remove := map[*Value]bool{}
-	blockIdx := make(map[*Block]int, len(f.Blocks))
-	for i, b := range f.Blocks {
-		blockIdx[b] = i
+	if cands == 0 {
+		return 0, 0 // nothing can merge, so no operand changes either
+	}
+	vals := make([]gvnVal, f.numValueIDs())
+	resolve := func(v *Value) *Value {
+		for v != nil && vals[v.ID].redirect != nil {
+			v = vals[v.ID].redirect
+		}
+		return v
 	}
 	children := domChildren(f, dom)
-	table := map[gvnKey][]*Value{}
-	var scope []gvnKey // undo log: pop table entries when leaving a block
+	table := newGVNTable(cands)
+	scope := make([]gvnUndo, 0, cands) // undo log: unlink entries when leaving a block
+	removed := 0
 
 	var walk func(b *Block)
 	walk = func(b *Block) {
@@ -216,41 +294,49 @@ func GVN(f *Func, dom *DomTree) (sameBlock, crossBlock int) {
 				continue
 			}
 			key := gvnKey{
-				op: v.Op, width: v.Width, signed: v.Signed,
+				op: v.Op, width: int32(v.Width), signed: v.Signed,
 				aux: v.Aux, aux2: v.Aux2, arg0: -1, arg1: -1,
 			}
 			if len(v.Args) > 0 {
-				key.arg0 = v.Args[0].ID
+				key.arg0 = int32(v.Args[0].ID)
 			}
 			if len(v.Args) > 1 {
-				key.arg1 = v.Args[1].ID
+				key.arg1 = int32(v.Args[1].ID)
 			}
+			slot := table.slot(key)
+			var last *Value
 			merged := false
-			for _, rep := range table[key] {
+			for rep := slot.head; rep != nil; rep = vals[rep.ID].next {
+				last = rep
 				// Same origin keeps the transitive origin walks behind
 				// macro/inline filtering unchanged.
 				if rep.Origin != v.Origin {
 					continue
 				}
 				inBlock := rep.Block == b
-				if !inBlock && blockIdx[rep.Block] >= blockIdx[b] {
+				if !inBlock && rep.Block.ID >= b.ID {
 					continue // ∆ dedup keeps the first in block order
 				}
-				redirect[v] = rep
+				vals[v.ID].redirect = rep
 				if inBlock {
 					sameBlock++
 				} else {
 					crossBlock++
 				}
 				if v != anchor && (inBlock || !gvnCarriesUBCond(v)) {
-					remove[v] = true
+					vals[v.ID].remove = true
+					removed++
 				}
 				merged = true
 				break
 			}
 			if !merged {
-				table[key] = append(table[key], v)
-				scope = append(scope, key)
+				if last == nil {
+					slot.head = v
+				} else {
+					vals[last.ID].next = v
+				}
+				scope = append(scope, gvnUndo{slot: slot, prev: last})
 			}
 		}
 		if b.Term != nil {
@@ -258,13 +344,17 @@ func GVN(f *Func, dom *DomTree) (sameBlock, crossBlock int) {
 				b.Term.Args[i] = resolve(a)
 			}
 		}
-		for _, c := range children[b] {
+		for _, c := range children[b.ID] {
 			walk(c)
 		}
 		for len(scope) > mark {
-			k := scope[len(scope)-1]
+			u := scope[len(scope)-1]
 			scope = scope[:len(scope)-1]
-			table[k] = table[k][:len(table[k])-1]
+			if u.prev == nil {
+				u.slot.head = nil
+			} else {
+				vals[u.prev.ID].next = nil
+			}
 		}
 	}
 	if f.Entry != nil {
@@ -277,19 +367,17 @@ func GVN(f *Func, dom *DomTree) (sameBlock, crossBlock int) {
 	// Cross-block uses of merged values (including phi operands in
 	// blocks processed before the victim's block).
 	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
+		for v := range b.All() {
 			for i, a := range v.Args {
-				if a != nil {
-					v.Args[i] = resolve(a)
-				}
+				v.Args[i] = resolve(a)
 			}
 		}
 	}
-	if len(remove) > 0 {
+	if removed > 0 {
 		for _, b := range f.Blocks {
 			kept := b.Instrs[:0]
 			for _, v := range b.Instrs {
-				if !remove[v] {
+				if !vals[v.ID].remove {
 					kept = append(kept, v)
 				}
 			}

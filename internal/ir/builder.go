@@ -196,7 +196,7 @@ func (b *builder) tryRemoveTrivialPhi(phi *Value) *Value {
 	}
 	// Rewrite uses of phi to same.
 	for _, blk := range b.fn.Blocks {
-		for _, v := range blk.Values() {
+		for v := range blk.All() {
 			for i, a := range v.Args {
 				if a == phi {
 					v.Args[i] = same

@@ -51,15 +51,20 @@ func fuzzRows(n int) [][]uint64 {
 	return append(rows, mixed)
 }
 
-// fuzzExecDiff builds src twice, transforms every function of one
-// copy, and requires the evaluator to agree on result, return-ness,
-// and trap behavior for every probed row. Rows where either side
+// fuzzExecDiff first checks the ID invariant through the checker's IR
+// stages on src (checkIDsThroughPipeline). It then builds src twice,
+// transforms every function of one copy, and requires the evaluator
+// to agree on result, return-ness, and trap behavior for every probed
+// row. Rows where either side
 // exhausts the step budget are skipped — the transforms exist to
 // shorten execution, so step counts may legitimately differ.
 func fuzzExecDiff(t *testing.T, src string, transform func(*Func)) {
 	ref := fuzzBuild(src)
 	if ref == nil {
 		return
+	}
+	if err := checkIDsThroughPipeline(fuzzBuild(src)); err != nil {
+		t.Fatal(err)
 	}
 	opt := fuzzBuild(src)
 	for _, f := range opt.Funcs {

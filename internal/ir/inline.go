@@ -272,7 +272,7 @@ func mapped(m map[*Value]*Value, v *Value) *Value {
 
 func replaceUses(f *Func, old, new *Value) {
 	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
+		for v := range b.All() {
 			for i, a := range v.Args {
 				if a == old {
 					v.Args[i] = new

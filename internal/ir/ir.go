@@ -10,6 +10,7 @@ package ir
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"repro/internal/cc"
@@ -196,7 +197,24 @@ type Block struct {
 	Func   *Func
 }
 
-// Values iterates instructions plus terminator.
+// All yields the block's instructions in order, then its terminator.
+// It allocates nothing, and is the way to walk a block.
+func (b *Block) All() iter.Seq[*Value] {
+	return func(yield func(*Value) bool) {
+		for _, v := range b.Instrs {
+			if !yield(v) {
+				return
+			}
+		}
+		if b.Term != nil {
+			yield(b.Term)
+		}
+	}
+}
+
+// Values returns the instructions plus the terminator in a new slice.
+// It stays for the benchmark module, which counts values with it;
+// everything else walks a block with All.
 func (b *Block) Values() []*Value {
 	if b.Term == nil {
 		return b.Instrs
@@ -216,7 +234,7 @@ func (b *Block) String() string {
 		}
 	}
 	sb.WriteByte('\n')
-	for _, v := range b.Values() {
+	for v := range b.All() {
 		fmt.Fprintf(&sb, "  %s\n", v)
 	}
 	return sb.String()
@@ -232,8 +250,15 @@ type Func struct {
 	nextID   int
 }
 
-// NewValueID allocates a fresh value ID.
+// NewValueID allocates a fresh value ID. IDs run from 1 to the last
+// one allocated, and no two values of one Func share an ID, so passes
+// keep per-value state in slices indexed by Value.ID, sized by
+// numValueIDs. Likewise every Block.ID is the block's index in Blocks.
 func (f *Func) NewValueID() int { f.nextID++; return f.nextID }
+
+// numValueIDs returns one more than the largest value ID allocated so
+// far: the length of a slice indexed by Value.ID.
+func (f *Func) numValueIDs() int { return f.nextID + 1 }
 
 // NewBlock appends an empty block.
 func (f *Func) NewBlock() *Block {

@@ -135,7 +135,7 @@ func HoistLoopInvariantUB(f *Func, dom *DomTree) (ubTerms, moved int) {
 		if anchor != nil && hoistable(anchor) {
 			subst, inv := invariantArgs(anchor, head, body)
 			var next *Value
-			for _, v := range head.Values() {
+			for v := range head.All() {
 				if v != anchor && v.Pos.IsValid() {
 					next = v
 					break

@@ -76,7 +76,7 @@ int f(int a, int b) {
 	}
 	victim := muls[1]
 	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
+		for v := range b.All() {
 			for _, a := range v.Args {
 				if a == victim {
 					t.Errorf("use of the victim mul survives in %v", v.Op)

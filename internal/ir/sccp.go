@@ -99,26 +99,33 @@ func sccpMeet(a, b sccpVal) sccpVal {
 // SCCP runs the analysis over f and transmutes proven-constant values
 // in executable blocks to OpConst in place. The dominator tree stays
 // valid (no CFG changes).
+//
+// All per-value and per-block state lives in slices sized once per
+// call: the lattice and the sharpening marks are indexed by Value.ID,
+// block executability by Block.ID, and edge executability by in-edge
+// slot (see sccpState). This relies on the ID invariant of
+// Func.NewValueID: value IDs are unique within f and at most its last
+// allocated ID, and every Block.ID is the block's index in f.Blocks.
 func SCCP(f *Func) SCCPStats {
 	s := &sccpState{
-		lat:      map[*Value]sccpVal{},
-		edgeExec: map[[2]*Block]bool{},
-		blkExec:  map[*Block]bool{},
-		uses:     map[*Value][]*Value{},
+		lat:      make([]sccpVal, f.numValueIDs()),
+		blkExec:  make([]bool, len(f.Blocks)),
+		edgeBase: make([]int32, len(f.Blocks)+1),
+		uses:     NewDefUse(f),
+		flowWL:   make([][2]*Block, 0, 2*len(f.Blocks)),
 	}
-	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
-			for _, a := range v.Args {
-				s.uses[a] = append(s.uses[a], v)
-			}
-		}
+	for i, b := range f.Blocks {
+		s.edgeBase[i+1] = s.edgeBase[i] + int32(len(b.Preds))
 	}
+	s.edgeExec = make([]bool, s.edgeBase[len(f.Blocks)])
+	// Straight-line code lowers each value once, waking each use once.
+	s.ssaWL = make([]*Value, 0, s.uses.NumUses())
 	// Parameters are opaque inputs and may not appear in any block's
 	// instruction list; seed them overdefined so conditions that depend
 	// on them reach ⊥ (and release both branch edges) rather than
 	// resting at ⊤.
 	for _, p := range f.Params {
-		s.lat[p] = sccpVal{state: latBottom}
+		s.lat[p.ID] = sccpVal{state: latBottom}
 	}
 	if f.Entry != nil {
 		s.markBlock(f.Entry)
@@ -127,7 +134,7 @@ func SCCP(f *Func) SCCPStats {
 		for len(s.ssaWL) > 0 {
 			v := s.ssaWL[len(s.ssaWL)-1]
 			s.ssaWL = s.ssaWL[:len(s.ssaWL)-1]
-			if s.blkExec[v.Block] {
+			if s.blkExec[v.Block.ID] {
 				s.visit(v)
 			}
 		}
@@ -144,25 +151,25 @@ func SCCP(f *Func) SCCPStats {
 	// resting on one is recognized as sharpened too. Because the pass
 	// transmutes in instruction order, an operand that is OpConst here
 	// is either an original constant or an already-classified fold.
-	sharp := map[*Value]bool{}
+	sharp := make([]bool, f.numValueIDs())
 	latticeOnly := func(v *Value) bool {
 		if v.Op == OpPhi || v.Op == OpSelect {
 			return true // resolved via executable-edge pruning
 		}
 		for _, a := range v.Args {
-			if a.Op != OpConst || sharp[a] {
+			if a.Op != OpConst || sharp[a.ID] {
 				return true
 			}
 		}
 		return false
 	}
 	for _, b := range f.Blocks {
-		if !s.blkExec[b] {
+		if !s.blkExec[b.ID] {
 			st.UnreachableBlocks++
 			continue
 		}
 		for _, v := range b.Instrs {
-			lv := s.lat[v]
+			lv := s.lat[v.ID]
 			if lv.state != latConst || v.Op == OpConst || v.Width <= 1 {
 				continue
 			}
@@ -170,7 +177,7 @@ func SCCP(f *Func) SCCPStats {
 				continue // origin parity: see package comment
 			}
 			if latticeOnly(v) {
-				sharp[v] = true
+				sharp[v.ID] = true
 				st.Sharpened++
 			}
 			v.Op = OpConst
@@ -183,7 +190,7 @@ func SCCP(f *Func) SCCPStats {
 		}
 		if b.Term != nil && b.Term.Op == OpCondBr {
 			cond := b.Term.Args[0]
-			if c := s.lat[cond]; c.state == latConst {
+			if c := s.lat[cond.ID]; c.state == latConst {
 				st.FoldedBranches++
 				// The condition itself never transmutes (width 1);
 				// its constness is sharpening when it rests on a
@@ -198,25 +205,45 @@ func SCCP(f *Func) SCCPStats {
 	return st
 }
 
+// sccpState is the analysis state of one SCCP call. The in-edges of
+// block b own the slots edgeExec[edgeBase[b.ID]:edgeBase[b.ID+1]], one
+// per entry of b.Preds. An edge that appears twice in b.Preds (a
+// CondBr whose successors are both b) is still one CFG edge: marking
+// it sets every slot whose predecessor is its source.
 type sccpState struct {
-	lat      map[*Value]sccpVal
-	edgeExec map[[2]*Block]bool
-	blkExec  map[*Block]bool
-	uses     map[*Value][]*Value
+	lat      []sccpVal // by Value.ID
+	blkExec  []bool    // by Block.ID
+	edgeExec []bool    // by in-edge slot
+	edgeBase []int32   // by Block.ID: the block's first in-edge slot
+	uses     DefUse
 	flowWL   [][2]*Block
 	ssaWL    []*Value
+}
+
+// argLat is the lattice value of v's i-th operand. A nil phi operand
+// (RemoveUnreachableBlocks leaves one where a phi had fewer operands
+// than predecessors) reads ⊤.
+func (s *sccpState) argLat(v *Value, i int) sccpVal {
+	if a := v.Args[i]; a != nil {
+		return s.lat[a.ID]
+	}
+	return sccpVal{}
 }
 
 // markEdge makes the CFG edge from→to executable, evaluating to's
 // instructions on first visit and re-evaluating its phis otherwise
 // (the new edge can lower a phi's meet).
 func (s *sccpState) markEdge(from, to *Block) {
-	key := [2]*Block{from, to}
-	if s.edgeExec[key] {
-		return
+	slots := s.edgeExec[s.edgeBase[to.ID]:s.edgeBase[to.ID+1]]
+	for k, p := range to.Preds {
+		if p == from {
+			if slots[k] {
+				return
+			}
+			slots[k] = true
+		}
 	}
-	s.edgeExec[key] = true
-	if s.blkExec[to] {
+	if s.blkExec[to.ID] {
 		for _, v := range to.Instrs {
 			if v.Op == OpPhi {
 				s.visit(v)
@@ -228,10 +255,10 @@ func (s *sccpState) markEdge(from, to *Block) {
 }
 
 func (s *sccpState) markBlock(b *Block) {
-	if s.blkExec[b] {
+	if s.blkExec[b.ID] {
 		return
 	}
-	s.blkExec[b] = true
+	s.blkExec[b.ID] = true
 	for _, v := range b.Instrs {
 		s.visit(v)
 	}
@@ -241,7 +268,7 @@ func (s *sccpState) markBlock(b *Block) {
 // lower moves v's lattice value down to nv if it changed, waking v's
 // users and, when a terminator consumes v, the terminator's block.
 func (s *sccpState) lower(v *Value, nv sccpVal) {
-	old := s.lat[v]
+	old := s.lat[v.ID]
 	if old.state == nv.state && (nv.state != latConst || old.val == nv.val) {
 		return
 	}
@@ -251,10 +278,10 @@ func (s *sccpState) lower(v *Value, nv sccpVal) {
 	if old.state == latConst && nv.state == latConst {
 		nv = sccpVal{state: latBottom} // disagreeing constants
 	}
-	s.lat[v] = nv
-	for _, u := range s.uses[v] {
+	s.lat[v.ID] = nv
+	for _, u := range s.uses.Users(v) {
 		if u.IsTerminator() {
-			if s.blkExec[u.Block] {
+			if s.blkExec[u.Block.ID] {
 				s.visitTerm(u.Block)
 			}
 			continue
@@ -272,7 +299,7 @@ func (s *sccpState) visitTerm(b *Block) {
 	case OpBr:
 		s.flowWL = append(s.flowWL, [2]*Block{b, b.Succs[0]})
 	case OpCondBr:
-		c := s.lat[t.Args[0]]
+		c := s.lat[t.Args[0].ID]
 		switch c.state {
 		case latConst:
 			if c.val != 0 {
@@ -315,7 +342,7 @@ func sccpSExt(x uint64, w int) int64 {
 
 func (s *sccpState) eval(v *Value) sccpVal {
 	bottom := sccpVal{state: latBottom}
-	argLat := func(i int) sccpVal { return s.lat[v.Args[i]] }
+	argLat := func(i int) sccpVal { return s.argLat(v, i) }
 	w := v.Width
 
 	switch v.Op {
@@ -324,8 +351,9 @@ func (s *sccpState) eval(v *Value) sccpVal {
 
 	case OpPhi:
 		r := sccpVal{state: latTop}
-		for i, p := range v.Block.Preds {
-			if !s.edgeExec[[2]*Block{p, v.Block}] {
+		in := s.edgeExec[s.edgeBase[v.Block.ID]:]
+		for i := range v.Block.Preds {
+			if !in[i] {
 				continue
 			}
 			r = sccpMeet(r, argLat(i))

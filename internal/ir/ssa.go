@@ -150,7 +150,7 @@ func collectAllocas(f *Func) []*allocaInfo {
 	}
 	escaped := map[*Value]bool{}
 	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
+		for v := range b.All() {
 			for i, a := range v.Args {
 				info := aliasOf[a]
 				if info == nil {
@@ -215,12 +215,26 @@ func sortAllocas(infos []*allocaInfo) {
 	}
 }
 
-// domChildren builds the dominator tree's child lists.
-func domChildren(f *Func, dom *DomTree) map[*Block][]*Block {
-	children := make(map[*Block][]*Block, len(f.Blocks))
+// domChildren returns the dominator tree's child lists, indexed by
+// Block.ID, each in f.Blocks order. The lists share one backing array.
+func domChildren(f *Func, dom *DomTree) [][]*Block {
+	start := make([]int32, len(f.Blocks)+1)
 	for _, b := range f.Blocks {
 		if p := dom.IDom(b); p != nil && p != b {
-			children[p] = append(children[p], b)
+			start[p.ID+1]++
+		}
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	flat := make([]*Block, start[len(f.Blocks)])
+	children := make([][]*Block, len(f.Blocks))
+	for i := range children {
+		children[i] = flat[start[i]:start[i]:start[i+1]]
+	}
+	for _, b := range f.Blocks {
+		if p := dom.IDom(b); p != nil && p != b {
+			children[p.ID] = append(children[p.ID], b)
 		}
 	}
 	return children
@@ -280,7 +294,7 @@ func liveIn(info *allocaInfo, isAddr map[*Value]bool) map[*Block]bool {
 }
 
 // promoteOne rewrites a single alloca into SSA form.
-func promoteOne(f *Func, dom *DomTree, df map[*Block][]*Block, children map[*Block][]*Block, info *allocaInfo, stats *SSAStats) {
+func promoteOne(f *Func, dom *DomTree, df map[*Block][]*Block, children [][]*Block, info *allocaInfo, stats *SSAStats) {
 	isAddr := info.addrSet()
 	live := liveIn(info, isAddr)
 
@@ -378,7 +392,7 @@ func promoteOne(f *Func, dom *DomTree, df map[*Block][]*Block, children map[*Blo
 				}
 			}
 		}
-		for _, c := range children[b] {
+		for _, c := range children[b.ID] {
 			walk(c, cur)
 		}
 	}
@@ -407,7 +421,7 @@ func promoteOne(f *Func, dom *DomTree, df map[*Block][]*Block, children map[*Blo
 		dead[s] = true
 	}
 	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
+		for v := range b.All() {
 			if dead[v] {
 				continue
 			}
@@ -494,7 +508,7 @@ func removeTrivialPromotedPhis(f *Func, phiAt map[*Block]*Value) {
 		deadPhi[phi] = true
 	}
 	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
+		for v := range b.All() {
 			if deadPhi[v] {
 				continue
 			}

@@ -346,7 +346,7 @@ func removePred(b, pred *ir.Block) {
 
 func replaceAllUses(f *ir.Func, old, new *ir.Value) {
 	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
+		for v := range b.All() {
 			for i, a := range v.Args {
 				if a == old {
 					v.Args[i] = new
@@ -360,7 +360,7 @@ func replaceAllUses(f *ir.Func, old, new *ir.Value) {
 func dce(f *ir.Func) bool {
 	used := map[*ir.Value]bool{}
 	for _, b := range f.Blocks {
-		for _, v := range b.Values() {
+		for v := range b.All() {
 			for _, a := range v.Args {
 				used[a] = true
 			}
