@@ -111,7 +111,9 @@ bench:
 # a second exactly as a new solver does.
 # FuzzPreprocessMatchesReference checks the single-buffer macro expander
 # against the copy-per-step reference expander: tokens, errors and
-# budget charges. The last four are the SSA differential oracles: end-to-end byte identity of checker output
+# budget charges. FuzzFoldMatchesExec checks the IR constant folder that
+# SCCP and the Fig. 4 optimizer share against the concrete evaluator,
+# per operation at widths 1 to 64. The last four are the SSA differential oracles: end-to-end byte identity of checker output
 # keyed on SSASharpened, plus per-pass execution equivalence for SCCP,
 # loop-invariant UB hoisting, and cross-block GVN.
 fuzz-smoke:
@@ -124,6 +126,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolveAssuming$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzVarHeap$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolverReset$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzFoldMatchesExec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSSADifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzSCCPDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzHoistDifferential$$' -fuzztime $(FUZZTIME)

@@ -13,7 +13,8 @@ type Builder struct {
 	consts map[constKey]*Term
 	vars   map[string]*Term
 	nextID int
-	arena  *Arena // optional slab allocator; nil means plain heap
+	arena  *Arena     // optional slab allocator; nil means plain heap
+	wide   *evaluator // binaryBig's scratch for folds above 64 bits; made on first use
 	// NoRewrite disables the word-level rewrite engine and commutative
 	// canonicalization: terms intern exactly as constructed. This is the
 	// reference mode of the differential test layer — a rewrite-free
@@ -126,11 +127,6 @@ func mask(width int) *big.Int {
 	return m.Sub(m, big.NewInt(1))
 }
 
-// mask64 is mask for width ≤ 64.
-func mask64(width int) uint64 {
-	return ^uint64(0) >> (64 - width)
-}
-
 // Const returns the constant v (interpreted modulo 2^width) of the
 // given width.
 func (b *Builder) Const(v *big.Int, width int) *Term {
@@ -144,7 +140,7 @@ func (b *Builder) Const(v *big.Int, width int) *Term {
 		if v.Sign() < 0 {
 			lo = -lo
 		}
-		return b.internConst(constKey{width: width, lo: lo & mask64(width)}, nil)
+		return b.internConst(constKey{width: width, lo: lo & maskU(width)}, nil)
 	}
 	norm := new(big.Int).And(v, mask(width))
 	hi := new(big.Int).Rsh(norm, 64).Text(16)
@@ -255,11 +251,16 @@ func (b *Builder) binaryPre(op Op, x, y **Term) (t *Term, done bool) {
 }
 
 func (b *Builder) internBinary(op Op, x, y *Term) *Term {
-	w := x.width
-	if op == OpEq || op == OpULT || op == OpULE || op == OpSLT || op == OpSLE {
-		w = 1
+	return b.intern(op, binaryWidth(op, x.width), 0, x, y, nil)
+}
+
+// binaryWidth is the width of a binary operation on w-bit operands.
+func binaryWidth(op Op, w int) int {
+	switch op {
+	case OpEq, OpULT, OpULE, OpSLT, OpSLE:
+		return 1
 	}
-	return b.intern(op, w, 0, x, y, nil)
+	return w
 }
 
 // --- Public constructors -------------------------------------------------

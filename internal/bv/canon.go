@@ -22,7 +22,8 @@ package bv
 //
 // Soundness is inherited from associativity and commutativity — the
 // rebuilt term is a reordering of the same multiset, with constants
-// combined by the exact evalConstBinary arithmetic — and the
+// combined by Builder.foldConst, the evaluator's arithmetic that
+// evalConstBinary folds with too — and the
 // differential and fuzz layers check the combination against the
 // rewrite-free reference semantics. Builder.NoRewrite disables
 // canonicalization along with the rewrite engine, keeping the
@@ -92,24 +93,6 @@ func absorbingConst(op Op, width int) *big.Int {
 	return nil
 }
 
-// foldConstAC combines two chain constants under op at the given
-// width. acc is mutated and returned.
-func foldConstAC(op Op, width int, acc, v *big.Int) *big.Int {
-	switch op {
-	case OpAdd:
-		acc.Add(acc, v)
-	case OpAnd:
-		acc.And(acc, v)
-	case OpOr:
-		acc.Or(acc, v)
-	case OpXor:
-		acc.Xor(acc, v)
-	case OpMul:
-		acc.Mul(acc, v)
-	}
-	return acc.And(acc, mask(width))
-}
-
 // canonChain canonicalizes the AC chain op(x, y). A nil return means
 // the construction is already in canonical form (or too long to
 // canonicalize) and the caller should intern op(x, y) directly. The
@@ -134,9 +117,9 @@ func (b *Builder) canonChain(op Op, x, y *Term) *Term {
 		if l.op == OpConst {
 			nconst++
 			if cval == nil {
-				cval = new(big.Int).Set(l.val)
+				cval = l.val
 			} else {
-				cval = foldConstAC(op, width, cval, l.val)
+				cval = b.foldConst(op, width, cval, l.val)
 			}
 			continue
 		}

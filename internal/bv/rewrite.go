@@ -15,10 +15,7 @@ package bv
 // counted in Builder.RewriteHits (alongside the structural CacheHits of
 // hash consing).
 
-import (
-	"fmt"
-	"math/big"
-)
+import "math/big"
 
 // hit records a successful rewrite and returns its result, so rules can
 // be written as one-liners.
@@ -516,83 +513,26 @@ func (b *Builder) rewriteBinary(op Op, x, y *Term) *Term {
 	return nil
 }
 
-// evalConstBinary folds a binary operation over two constants. It is
-// total: every op with constant operands folds.
+// evalConstBinary folds a binary operation over two constants with the
+// evaluator's arithmetic, without math/big up to 64 bits.
 func (b *Builder) evalConstBinary(op Op, x, y *Term) *Term {
 	w := x.width
-	xv, yv := x.val, y.val
-	switch op {
-	case OpAnd:
-		return b.Const(new(big.Int).And(xv, yv), w)
-	case OpOr:
-		return b.Const(new(big.Int).Or(xv, yv), w)
-	case OpXor:
-		return b.Const(new(big.Int).Xor(xv, yv), w)
-	case OpAdd:
-		return b.Const(new(big.Int).Add(xv, yv), w)
-	case OpSub:
-		return b.Const(new(big.Int).Sub(xv, yv), w)
-	case OpMul:
-		return b.Const(new(big.Int).Mul(xv, yv), w)
-	case OpUDiv:
-		if yv.Sign() == 0 {
-			return b.Const(mask(w), w)
-		}
-		return b.Const(new(big.Int).Div(xv, yv), w)
-	case OpURem:
-		if yv.Sign() == 0 {
-			return b.Const(xv, w)
-		}
-		return b.Const(new(big.Int).Mod(xv, yv), w)
-	case OpSDiv:
-		xs, ys := toSigned(xv, w), toSigned(yv, w)
-		if ys.Sign() == 0 {
-			// SMT-LIB: bvsdiv by zero yields 1 if x negative else all-ones.
-			if xs.Sign() < 0 {
-				return b.Const(big.NewInt(1), w)
-			}
-			return b.Const(mask(w), w)
-		}
-		return b.Const(new(big.Int).Quo(xs, ys), w)
-	case OpSRem:
-		xs, ys := toSigned(xv, w), toSigned(yv, w)
-		if ys.Sign() == 0 {
-			return b.Const(xs, w)
-		}
-		return b.Const(new(big.Int).Rem(xs, ys), w)
-	case OpShl:
-		if yv.Cmp(big.NewInt(int64(w))) >= 0 {
-			return b.Const(big.NewInt(0), w)
-		}
-		return b.Const(new(big.Int).Lsh(xv, uint(yv.Uint64())), w)
-	case OpLShr:
-		if yv.Cmp(big.NewInt(int64(w))) >= 0 {
-			return b.Const(big.NewInt(0), w)
-		}
-		return b.Const(new(big.Int).Rsh(xv, uint(yv.Uint64())), w)
-	case OpAShr:
-		xs := toSigned(xv, w)
-		sh := uint(w)
-		if yv.Cmp(big.NewInt(int64(w))) < 0 {
-			sh = uint(yv.Uint64())
-		}
-		if sh >= uint(w) {
-			if xs.Sign() < 0 {
-				return b.Const(mask(w), w)
-			}
-			return b.Const(big.NewInt(0), w)
-		}
-		return b.Const(new(big.Int).Rsh(xs, sh), w)
-	case OpEq:
-		return b.Bool(xv.Cmp(yv) == 0)
-	case OpULT:
-		return b.Bool(xv.Cmp(yv) < 0)
-	case OpULE:
-		return b.Bool(xv.Cmp(yv) <= 0)
-	case OpSLT:
-		return b.Bool(toSigned(xv, w).Cmp(toSigned(yv, w)) < 0)
-	case OpSLE:
-		return b.Bool(toSigned(xv, w).Cmp(toSigned(yv, w)) <= 0)
+	if w <= 64 {
+		r := binarySmall(op, w, x.val.Uint64(), y.val.Uint64())
+		return b.internConst(constKey{width: binaryWidth(op, w), lo: r}, nil)
 	}
-	panic(fmt.Sprintf("bv: evalConstBinary: unexpected op %v", op))
+	return b.Const(b.foldConst(op, w, x.val, y.val), binaryWidth(op, w))
+}
+
+// foldConst applies op to the w-bit constant values x and y with the
+// evaluator's arithmetic, binarySmall up to 64 bits and binaryBig
+// above, returning the result in a new big.Int.
+func (b *Builder) foldConst(op Op, w int, x, y *big.Int) *big.Int {
+	if w <= 64 {
+		return new(big.Int).SetUint64(binarySmall(op, w, x.Uint64(), y.Uint64()))
+	}
+	if b.wide == nil {
+		b.wide = new(evaluator)
+	}
+	return b.wide.binaryBig(new(big.Int), op, w, x, y)
 }

@@ -8,6 +8,7 @@ package bv
 // all inputs.
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -495,12 +496,40 @@ func TestRewriteRules(t *testing.T) {
 // builds random binary expressions over operand shapes chosen to
 // trigger the rules (variables, constants, negations, constant
 // add-chains) and verifies the constructed term evaluates exactly like
-// the unrewritten operation for every sampled assignment.
+// the unrewritten operation for every sampled assignment. It runs at 8
+// bits, where constant folds take the evaluator's uint64 path, and at
+// 96, where they take its math/big path.
 func TestRewriteSoundnessRandom(t *testing.T) {
+	for _, w := range []int{8, 96} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) { rewriteSoundnessRandom(t, w) })
+	}
+}
+
+// randValue draws a w-bit value. Up to 62 bits it is uniform; wider,
+// it is a small value (such as an in-range shift amount), all ones
+// less a small value, or uniform, so that edge cases still turn up.
+func randValue(rng *rand.Rand, w int) *big.Int {
+	if w <= 62 {
+		return big.NewInt(int64(rng.Intn(1 << w)))
+	}
+	small := big.NewInt(int64(rng.Intn(2 * w)))
+	switch rng.Intn(4) {
+	case 0:
+		return small
+	case 1:
+		return small.Sub(mask(w), small)
+	}
+	v := new(big.Int)
+	for i := 0; i < w; i += 64 {
+		v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(rng.Uint64()))
+	}
+	return v.And(v, mask(w))
+}
+
+func rewriteSoundnessRandom(t *testing.T, w int) {
 	ops := []Op{OpAnd, OpOr, OpXor, OpAdd, OpSub, OpMul, OpUDiv, OpURem,
 		OpSDiv, OpSRem, OpShl, OpLShr, OpAShr, OpEq, OpULT, OpULE, OpSLT, OpSLE}
 	rng := rand.New(rand.NewSource(1))
-	const w = 8
 	b := NewBuilder()
 	x := b.Var("x", w)
 	y := b.Var("y", w)
@@ -511,13 +540,13 @@ func TestRewriteSoundnessRandom(t *testing.T) {
 		case 1:
 			return y
 		case 2:
-			return b.ConstInt64(int64(rng.Intn(1<<w)), w)
+			return b.Const(randValue(rng, w), w)
 		case 3:
 			return b.Not(x)
 		case 4:
-			return b.Add(x, b.ConstInt64(int64(rng.Intn(1<<w)), w))
+			return b.Add(x, b.Const(randValue(rng, w), w))
 		default:
-			return b.Sub(y, b.ConstInt64(int64(rng.Intn(1<<w)), w))
+			return b.Sub(y, b.Const(randValue(rng, w), w))
 		}
 	}
 	apply := func(op Op, u, v *Term) *Term {
@@ -565,10 +594,7 @@ func TestRewriteSoundnessRandom(t *testing.T) {
 		for _, op := range ops {
 			u, v := operand(), operand()
 			got := apply(op, u, v)
-			env := map[string]*big.Int{
-				"x": big.NewInt(int64(rng.Intn(1 << w))),
-				"y": big.NewInt(int64(rng.Intn(1 << w))),
-			}
+			env := map[string]*big.Int{"x": randValue(rng, w), "y": randValue(rng, w)}
 			want := refBinary(op, w, evalTerm(u, env), evalTerm(v, env))
 			if have := evalTerm(got, env); have.Cmp(want) != 0 {
 				t.Fatalf("%v(%s, %s) rewrote unsoundly: env=%v got=%v want=%v (term %s)",

@@ -834,35 +834,13 @@ func blockOrigin(b *ir.Block) string {
 		if p.Term == nil || p.Term.Op != ir.OpCondBr {
 			return ""
 		}
-		o := deepOrigin(p.Term.Args[0], 4)
+		o := ir.DefOrigin(p.Term.Args[0])
 		if o == "" {
 			return ""
 		}
 		origin = o
 	}
 	return origin
-}
-
-// deepOrigin finds a macro/inline origin in a condition's definition
-// tree (bounded depth), so that checks synthesized from expanded code
-// are recognized even when the outer comparison was built by the
-// frontend itself.
-func deepOrigin(v *ir.Value, depth int) string {
-	if v.Origin != "" {
-		return v.Origin
-	}
-	if depth == 0 {
-		return ""
-	}
-	for _, a := range v.Args {
-		if a.Op == ir.OpConst {
-			continue
-		}
-		if o := deepOrigin(a, depth-1); o != "" {
-			return o
-		}
-	}
-	return ""
 }
 
 func condPos(blk *ir.Block, cond *ir.Value) cc.Pos {

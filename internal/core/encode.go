@@ -237,19 +237,6 @@ func (e *encoder) reachability(b *ir.Block) *bv.Term {
 	return acc
 }
 
-// rootPointer walks PtrAdd/IndexAddr chains back to the base pointer,
-// the p of Fig. 3's null-dereference row.
-func rootPointer(v *ir.Value) *ir.Value {
-	for {
-		switch v.Op {
-		case ir.OpPtrAdd, ir.OpIndexAddr:
-			v = v.Args[0]
-		default:
-			return v
-		}
-	}
-}
-
 // ubTerm encodes one Figure 3 condition as a boolean term.
 func (e *encoder) ubTerm(u *UBCond) *bv.Term {
 	b := e.b
@@ -271,7 +258,7 @@ func (e *encoder) ubTerm(u *UBCond) *bv.Term {
 			b.SGT(sum, b.Const(maxAddr, n+2)),
 		)
 	case UBNullDeref:
-		base := rootPointer(v.Args[0])
+		base := ir.RootPointer(v.Args[0])
 		p := e.value(base)
 		return b.Eq(p, b.ConstInt64(0, p.Width()))
 	case UBSignedOverflow:
@@ -341,11 +328,11 @@ func (e *encoder) ubTerm(u *UBCond) *bv.Term {
 			b.ULT(b.Sub(src, dst), ln),
 		)
 	case UBUseAfterFree:
-		q := e.value(rootPointer(v.Args[0]))
+		q := e.value(ir.RootPointer(v.Args[0]))
 		p := e.value(u.aux.Args[0]) // the freed pointer
 		return b.Eq(p, q)           // alias(p, q) modelled as equality
 	case UBUseAfterRealloc:
-		q := e.value(rootPointer(v.Args[0]))
+		q := e.value(ir.RootPointer(v.Args[0]))
 		p := e.value(u.aux.Args[0])
 		np := e.value(u.aux) // realloc's result p′
 		return b.And(b.Eq(p, q), b.Ne(np, b.ConstInt64(0, np.Width())))

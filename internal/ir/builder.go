@@ -32,7 +32,7 @@ type builder struct {
 
 	defs       map[*Block]map[string]*Value
 	sealed     map[*Block]bool
-	incomplete map[*Block]map[string]*Value
+	incomplete map[*Block][]incompletePhi
 	varTypes   map[string]*cc.Type // unique var key -> C type
 	memVars    map[string]*Value   // address-taken/aggregate vars -> address value
 	scopes     []map[string]string // source name -> unique key
@@ -57,7 +57,7 @@ func buildFunc(file *cc.File, decl *cc.FuncDecl) (f *Func, err error) {
 		fn:         &Func{Name: decl.Name},
 		defs:       map[*Block]map[string]*Value{},
 		sealed:     map[*Block]bool{},
-		incomplete: map[*Block]map[string]*Value{},
+		incomplete: map[*Block][]incompletePhi{},
 		varTypes:   map[string]*cc.Type{},
 		memVars:    map[string]*Value{},
 	}
@@ -144,10 +144,7 @@ func (b *builder) readVarRecursive(key string, blk *Block) *Value {
 	switch {
 	case !b.sealed[blk]:
 		v = b.newPhi(blk, b.varWidth(key))
-		if b.incomplete[blk] == nil {
-			b.incomplete[blk] = map[string]*Value{}
-		}
-		b.incomplete[blk][key] = v
+		b.incomplete[blk] = append(b.incomplete[blk], incompletePhi{key, v})
 	case len(blk.Preds) == 0:
 		// Entry reached without a definition: the variable is
 		// uninitialized here. The paper's checker deliberately does not
@@ -194,16 +191,7 @@ func (b *builder) tryRemoveTrivialPhi(phi *Value) *Value {
 	if same == nil {
 		return phi // self-referential only; keep (degenerate loop)
 	}
-	// Rewrite uses of phi to same.
-	for _, blk := range b.fn.Blocks {
-		for v := range blk.All() {
-			for i, a := range v.Args {
-				if a == phi {
-					v.Args[i] = same
-				}
-			}
-		}
-	}
+	ReplaceUses(b.fn, phi, same)
 	// Remove phi from its block.
 	instrs := phi.Block.Instrs
 	for i, v := range instrs {
@@ -223,13 +211,22 @@ func (b *builder) tryRemoveTrivialPhi(phi *Value) *Value {
 	return same
 }
 
+// incompletePhi is a phi placed in a block before all of the block's
+// predecessors were known; sealing the block completes its operands.
+// Sealing completes them in the order they were placed, so that the
+// values it creates are numbered the same in every build.
+type incompletePhi struct {
+	key string
+	phi *Value
+}
+
 func (b *builder) seal(blk *Block) {
 	if b.sealed[blk] {
 		return
 	}
 	b.sealed[blk] = true
-	for key, phi := range b.incomplete[blk] {
-		b.addPhiOperands(key, phi)
+	for _, p := range b.incomplete[blk] {
+		b.addPhiOperands(p.key, p.phi)
 	}
 	delete(b.incomplete, blk)
 }

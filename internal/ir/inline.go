@@ -259,7 +259,7 @@ func inlineCall(f *Func, b *Block, i int, call *Value, callee *Func) {
 		replacement = u
 	}
 	if replacement != nil {
-		replaceUses(f, call, replacement)
+		ReplaceUses(f, call, replacement)
 	}
 }
 
@@ -270,7 +270,8 @@ func mapped(m map[*Value]*Value, v *Value) *Value {
 	return v
 }
 
-func replaceUses(f *Func, old, new *Value) {
+// ReplaceUses points every operand of f that is old at new.
+func ReplaceUses(f *Func, old, new *Value) {
 	for _, b := range f.Blocks {
 		for v := range b.All() {
 			for i, a := range v.Args {

@@ -187,6 +187,42 @@ func (v *Value) String() string {
 	return b.String()
 }
 
+// DefOrigin returns the macro or inlined-function origin found in v's
+// definition tree: v's own, or else the first one met walking its
+// operands to depth 4, skipping constant operands without reading
+// their origin. The checker uses it to recognize checks synthesized
+// from expanded code even when the outer comparison was built by the
+// frontend itself, and SCCP leaves a value unfolded when it returns
+// one, so that folding never hides an origin from that walk.
+func DefOrigin(v *Value) string { return defOrigin(v, 4) }
+
+func defOrigin(v *Value, depth int) string {
+	if v.Origin != "" {
+		return v.Origin
+	}
+	if depth == 0 {
+		return ""
+	}
+	for _, a := range v.Args {
+		if a.Op == OpConst {
+			continue
+		}
+		if o := defOrigin(a, depth-1); o != "" {
+			return o
+		}
+	}
+	return ""
+}
+
+// RootPointer walks PtrAdd/IndexAddr chains back to the base pointer,
+// the p of Fig. 3's null-dereference row.
+func RootPointer(v *Value) *Value {
+	for v.Op == OpPtrAdd || v.Op == OpIndexAddr {
+		v = v.Args[0]
+	}
+	return v
+}
+
 // Block is a basic block.
 type Block struct {
 	ID     int

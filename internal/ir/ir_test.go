@@ -349,6 +349,38 @@ int f(int c) {
 	}
 }
 
+// TestBuildIsDeterministic: building one source twice gives the same
+// IR, value numbers included. A loop header is sealed after its body,
+// so the phis of the four loop-carried variables are completed at
+// sealing time, and completing each one places a new phi in the block
+// that merges the conditional update. The order in which the header's
+// phis are completed decides the numbers of those new phis.
+func TestBuildIsDeterministic(t *testing.T) {
+	src := `
+int f(int n) {
+	int a = 0;
+	int b = 1;
+	int c = 2;
+	int d = 3;
+	for (int i = 0; i < n; i++) {
+		if (i & 1) {
+			a = a + 1;
+			b = b + 2;
+			c = c + 3;
+			d = d + 4;
+		}
+	}
+	return a + b + c + d;
+}
+`
+	want := fn(t, build(t, src), "f").String()
+	for i := 0; i < 20; i++ {
+		if got := fn(t, build(t, src), "f").String(); got != want {
+			t.Fatalf("build %d printed different IR:\n%s\nfirst build:\n%s", i+2, got, want)
+		}
+	}
+}
+
 func TestSSATrivialPhiRemoved(t *testing.T) {
 	p := build(t, `
 int f(int c) {

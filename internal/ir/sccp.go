@@ -18,10 +18,12 @@ package ir
 //   - C*-semantics preserving: every transmuted value is replaced by
 //     the constant the concrete evaluator (exec.go) would compute, so
 //     Exec on the rewritten function agrees with the original on all
-//     inputs. Arithmetic folds with the same wrap-around masking as
-//     exec.go and the bv layer's evalConstBinary.
+//     inputs. Arithmetic folds through FoldConst (fold.go), the one
+//     constant folder of the IR layer, which the Fig. 4 optimizer
+//     shares and FuzzFoldMatchesExec checks against exec.go.
 //   - UB-carrying operations (signed add/sub/mul/neg) fold only when
-//     the UB predicate is concretely false on the constants. In that
+//     the UB predicate is concretely false on the constants (FoldConst
+//     flags no UB). In that
 //     case the legacy pipeline's ¬U term folds to constant true and is
 //     dropped from ∆ as vacuous, so removing the condition with the
 //     instruction leaves the assumption byte-identical. An op whose UB
@@ -45,11 +47,11 @@ package ir
 //     the legacy pipeline queries. The comparison's *operands* still
 //     fold, which lets the rewrite layer decide the site's encoding
 //     exactly as it would have for rewrite-visible constants.
-//   - Origin parity: the checker's deepOrigin walk skips OpConst
-//     operands without reading their Origin, so transmuting a value
-//     whose definition tree carries a macro origin would hide that
-//     origin from report filtering. Such values are left untouched
-//     (checked with the same bounded walk, sccpOrigin). The check
+//   - Origin parity: the checker's origin walk (DefOrigin) skips
+//     OpConst operands without reading their Origin, so transmuting a
+//     value whose definition tree carries a macro origin would hide
+//     that origin from report filtering. Such values are left
+//     untouched (checked with DefOrigin itself). The check
 //     stays exact in one ordered pass: any operand already transmuted
 //     passed its own guard at full depth, so its subtree is known
 //     origin-free and skipping it loses nothing.
@@ -173,7 +175,7 @@ func SCCP(f *Func) SCCPStats {
 			if lv.state != latConst || v.Op == OpConst || v.Width <= 1 {
 				continue
 			}
-			if sccpOrigin(v, 4) != "" {
+			if DefOrigin(v) != "" {
 				continue // origin parity: see package comment
 			}
 			if latticeOnly(v) {
@@ -319,35 +321,13 @@ func (s *sccpState) visit(v *Value) {
 	s.lower(v, s.eval(v))
 }
 
-func sccpMask(x uint64, w int) uint64 {
-	if w >= 64 {
-		return x
-	}
-	return x & (1<<uint(w) - 1)
-}
-
-func sccpSignBit(x uint64, w int) bool {
-	return x&(1<<uint(w-1)) != 0
-}
-
-func sccpSExt(x uint64, w int) int64 {
-	if w >= 64 {
-		return int64(x)
-	}
-	if sccpSignBit(x, w) {
-		return int64(x | ^uint64(0)<<uint(w))
-	}
-	return int64(x)
-}
-
 func (s *sccpState) eval(v *Value) sccpVal {
 	bottom := sccpVal{state: latBottom}
 	argLat := func(i int) sccpVal { return s.argLat(v, i) }
-	w := v.Width
 
 	switch v.Op {
 	case OpConst:
-		return sccpVal{state: latConst, val: sccpMask(uint64(v.Aux), w)}
+		return sccpVal{state: latConst, val: Mask(uint64(v.Aux), v.Width)}
 
 	case OpPhi:
 		r := sccpVal{state: latTop}
@@ -387,130 +367,25 @@ func (s *sccpState) eval(v *Value) sccpVal {
 		}
 	}
 
-	konst := func(x uint64) sccpVal {
-		return sccpVal{state: latConst, val: sccpMask(x, w)}
-	}
-
+	// Division and remainder never fold (see the contract above), and
+	// FoldConst gives no value for loads, calls, params, globals,
+	// unknowns, pointer arithmetic and shifts: all overdefined by
+	// design. An op whose UB fires on its constants stays for the
+	// checker to see.
 	switch v.Op {
-	case OpAdd, OpSub, OpMul, OpNeg:
-		x := sccpMask(argLat(0).val, w)
-		y := uint64(0)
-		if len(v.Args) > 1 {
-			y = sccpMask(argLat(1).val, w)
-		}
-		var raw uint64
-		switch v.Op {
-		case OpAdd:
-			raw = x + y
-		case OpSub:
-			raw = x - y
-		case OpNeg:
-			raw = -x
-		case OpMul:
-			raw = x * y
-		}
-		if v.Signed && sccpSignedOverflows(v.Op, x, y, raw, w) {
-			return bottom // UB fires: the checker must see the op
-		}
-		return konst(raw)
-
-	case OpAnd:
-		return konst(argLat(0).val & argLat(1).val)
-	case OpOr:
-		return konst(argLat(0).val | argLat(1).val)
-	case OpXor:
-		return konst(argLat(0).val ^ argLat(1).val)
-	case OpNot:
-		return konst(^argLat(0).val)
-
-	case OpZExt:
-		return konst(sccpMask(argLat(0).val, v.Args[0].Width))
-	case OpSExt:
-		return konst(uint64(sccpSExt(argLat(0).val, v.Args[0].Width)))
-	case OpTrunc:
-		return konst(argLat(0).val)
-
-	case OpICmp:
-		aw := v.Args[0].Width
-		x, y := sccpMask(argLat(0).val, aw), sccpMask(argLat(1).val, aw)
-		var t bool
-		switch v.Pred() {
-		case CmpEq:
-			t = x == y
-		case CmpNe:
-			t = x != y
-		case CmpULT:
-			t = x < y
-		case CmpULE:
-			t = x <= y
-		case CmpSLT:
-			t = sccpSExt(x, aw) < sccpSExt(y, aw)
-		case CmpSLE:
-			t = sccpSExt(x, aw) <= sccpSExt(y, aw)
-		default:
-			return bottom
-		}
-		if t {
-			return sccpVal{state: latConst, val: 1}
-		}
-		return sccpVal{state: latConst, val: 0}
+	case OpUDiv, OpSDiv, OpURem, OpSRem:
+		return bottom
 	}
-
-	// Loads, calls, params, globals, unknowns, pointer arithmetic,
-	// division/remainder, shifts: overdefined by design (see the
-	// contract above).
-	return bottom
-}
-
-// sccpSignedOverflows reports whether the signed operation op on
-// masked constant operands x, y overflows width w — the Fig. 3
-// signed-overflow UB predicate, evaluated concretely.
-func sccpSignedOverflows(op Op, x, y, raw uint64, w int) bool {
-	wrapped := sccpMask(raw, w)
-	switch op {
-	case OpAdd:
-		sx, sy := sccpSignBit(x, w), sccpSignBit(y, w)
-		return sx == sy && sccpSignBit(wrapped, w) != sx
-	case OpSub:
-		sx, sy := sccpSignBit(x, w), sccpSignBit(y, w)
-		return sx != sy && sccpSignBit(wrapped, w) != sx
-	case OpNeg:
-		return x == sccpMask(1<<uint(w-1), w) && x != 0
-	case OpMul:
-		sx, sy := sccpSExt(x, w), sccpSExt(y, w)
-		if sx == 0 || sy == 0 {
-			return false
-		}
-		if sx == -1 && sy == -1<<63 {
-			return true // -MinInt64 overflows int64 (and any narrower width)
-		}
-		prod := sx * sy
-		if prod/sx != sy { // overflowed 64 bits
-			return true
-		}
-		return sccpSExt(sccpMask(uint64(prod), w), w) != prod
+	var x, y uint64
+	if len(v.Args) > 0 {
+		x = argLat(0).val
 	}
-	return false
-}
-
-// sccpOrigin mirrors the checker's deepOrigin walk (bounded depth,
-// OpConst operands skipped). A value is only transmuted when this
-// returns "", so the origins report filtering can see through argument
-// walks are unchanged by the pass.
-func sccpOrigin(v *Value, depth int) string {
-	if v.Origin != "" {
-		return v.Origin
+	if len(v.Args) > 1 {
+		y = argLat(1).val
 	}
-	if depth == 0 {
-		return ""
+	r, ok, ub := FoldConst(v, x, y)
+	if !ok || ub {
+		return bottom
 	}
-	for _, a := range v.Args {
-		if a.Op == OpConst {
-			continue
-		}
-		if o := sccpOrigin(a, depth-1); o != "" {
-			return o
-		}
-	}
-	return ""
+	return sccpVal{state: latConst, val: r}
 }

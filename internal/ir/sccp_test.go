@@ -128,11 +128,11 @@ int f(int a) {
 	}
 }
 
-// TestSCCPOriginParity: the checker's deepOrigin walk skips OpConst
-// operands without reading their Origin, so a value whose definition
-// tree carries a macro origin must not transmute — folding it would
-// hide the origin from report filtering. A value carrying the origin
-// itself is equally off-limits.
+// TestSCCPOriginParity: the checker's origin walk (DefOrigin) skips
+// OpConst operands without reading their Origin, so a value whose
+// definition tree carries a macro origin must not transmute — folding
+// it would hide the origin from report filtering. A value carrying the
+// origin itself is equally off-limits.
 func TestSCCPOriginParity(t *testing.T) {
 	src := `
 int f(int n) {
@@ -171,9 +171,9 @@ int f(int n) {
 	phiArg.Origin = "MACRO_X"
 	SCCP(f)
 	if phiArg.Op == OpConst {
-		t.Error("origin-carrying phi transmuted; deepOrigin walks would lose MACRO_X")
+		t.Error("origin-carrying phi transmuted; DefOrigin walks would lose MACRO_X")
 	}
 	if and.Op == OpConst {
-		t.Error("value over an origin-carrying operand transmuted; deepOrigin walks would lose MACRO_X")
+		t.Error("value over an origin-carrying operand transmuted; DefOrigin walks would lose MACRO_X")
 	}
 }

@@ -152,142 +152,56 @@ func foldBoolCompare(v *ir.Value) bool {
 	return true
 }
 
-func cval(v *ir.Value) (int64, bool) {
-	if v.Op == ir.OpConst {
-		return v.Aux, true
-	}
-	return 0, false
-}
-
-func maskTo(v int64, w int) int64 {
-	if w >= 64 {
-		return v
-	}
-	return v & (1<<uint(w) - 1)
-}
-
-func sext(v int64, w int) int64 {
-	if w >= 64 {
-		return v
-	}
-	v = maskTo(v, w)
-	if v&(1<<uint(w-1)) != 0 {
-		v |= ^int64(0) << uint(w)
-	}
-	return v
-}
-
 // foldValue computes a constant result if all operands are constant.
+// Arithmetic goes through ir.FoldConst, with this optimizer's policy on
+// top: signed overflow folds to the wrapped value, and division with
+// no value (by zero, MIN / -1), UB at run time, stays in place.
 func foldValue(v *ir.Value) (int64, bool) {
-	allConst := len(v.Args) > 0
-	for _, a := range v.Args {
-		if a.Op != ir.OpConst {
-			allConst = false
-			break
-		}
-	}
-	if !allConst {
+	if len(v.Args) == 0 {
 		return 0, false
 	}
-	a := func(i int) int64 { return v.Args[i].Aux }
-	w := v.Width
-	switch v.Op {
-	case ir.OpAdd:
-		return maskTo(a(0)+a(1), w), true
-	case ir.OpSub:
-		return maskTo(a(0)-a(1), w), true
-	case ir.OpMul:
-		return maskTo(a(0)*a(1), w), true
-	case ir.OpAnd:
-		return a(0) & a(1), true
-	case ir.OpOr:
-		return a(0) | a(1), true
-	case ir.OpXor:
-		return a(0) ^ a(1), true
-	case ir.OpNot:
-		return maskTo(^a(0), w), true
-	case ir.OpNeg:
-		return maskTo(-a(0), w), true
-	case ir.OpSDiv:
-		x, y := sext(a(0), w), sext(a(1), w)
-		if y == 0 || (y == -1 && x == sext(1<<uint(w-1), w)) {
-			return 0, false // UB at runtime; leave in place
-		}
-		return maskTo(x/y, w), true
-	case ir.OpUDiv:
-		x, y := uint64(maskTo(a(0), w)), uint64(maskTo(a(1), w))
-		if y == 0 {
+	for _, a := range v.Args {
+		if a.Op != ir.OpConst {
 			return 0, false
 		}
-		return maskTo(int64(x/y), w), true
-	case ir.OpSRem:
-		x, y := sext(a(0), w), sext(a(1), w)
-		if y == 0 || (y == -1 && x == sext(1<<uint(w-1), w)) {
-			return 0, false
-		}
-		return maskTo(x%y, w), true
-	case ir.OpURem:
-		x, y := uint64(maskTo(a(0), w)), uint64(maskTo(a(1), w))
-		if y == 0 {
-			return 0, false
-		}
-		return maskTo(int64(x%y), w), true
-	case ir.OpAShr:
-		sh := uint64(maskTo(a(1), v.Args[1].Width))
-		if sh >= uint64(w) {
-			if sext(a(0), w) < 0 {
-				return maskTo(-1, w), true
-			}
-			return 0, true
-		}
-		return maskTo(sext(a(0), w)>>sh, w), true
-	case ir.OpShl:
-		sh := uint64(maskTo(a(1), v.Args[1].Width))
-		if sh >= uint64(w) {
-			return 0, true // the C* view; UB folds handle the rest
-		}
-		return maskTo(a(0)<<sh, w), true
-	case ir.OpLShr:
-		sh := uint64(maskTo(a(1), v.Args[1].Width))
-		if sh >= uint64(w) {
-			return 0, true
-		}
-		return maskTo(maskTo(a(0), w)>>sh, w), true // logical: operate on masked
-	case ir.OpICmp:
-		x, y := a(0), a(1)
-		xw := v.Args[0].Width
-		var r bool
-		switch v.Pred() {
-		case ir.CmpEq:
-			r = maskTo(x, xw) == maskTo(y, xw)
-		case ir.CmpNe:
-			r = maskTo(x, xw) != maskTo(y, xw)
-		case ir.CmpULT:
-			r = uint64(maskTo(x, xw)) < uint64(maskTo(y, xw))
-		case ir.CmpULE:
-			r = uint64(maskTo(x, xw)) <= uint64(maskTo(y, xw))
-		case ir.CmpSLT:
-			r = sext(x, xw) < sext(y, xw)
-		case ir.CmpSLE:
-			r = sext(x, xw) <= sext(y, xw)
-		}
-		if r {
-			return 1, true
-		}
-		return 0, true
-	case ir.OpZExt:
-		return maskTo(a(0), v.Args[0].Width), true
-	case ir.OpSExt:
-		return maskTo(sext(a(0), v.Args[0].Width), w), true
-	case ir.OpTrunc:
-		return maskTo(a(0), w), true
-	case ir.OpSelect:
-		if a(0) != 0 {
-			return a(1), true
-		}
-		return a(2), true
 	}
-	return 0, false
+	x := uint64(v.Args[0].Aux)
+	switch v.Op {
+	case ir.OpSelect:
+		if x != 0 {
+			return v.Args[1].Aux, true
+		}
+		return v.Args[2].Aux, true
+	case ir.OpShl, ir.OpLShr, ir.OpAShr:
+		return foldConstShift(v)
+	}
+	var y uint64
+	if len(v.Args) > 1 {
+		y = uint64(v.Args[1].Aux)
+	}
+	r, ok, _ := ir.FoldConst(v, x, y)
+	return int64(r), ok
+}
+
+// foldConstShift folds a shift of constants in the C* view: an amount
+// of at least the width shifts every bit out, leaving 0, or the sign
+// for ashr.
+func foldConstShift(v *ir.Value) (int64, bool) {
+	w := v.Width
+	x, _ := v.Args[0].ConstInt()
+	n := ir.Mask(uint64(v.Args[1].Aux), v.Args[1].Width)
+	var r int64
+	switch {
+	case v.Op == ir.OpAShr:
+		r = x >> min(n, uint64(w-1))
+	case n >= uint64(w):
+		return 0, true
+	case v.Op == ir.OpShl:
+		r = x << n
+	default: // OpLShr
+		r = int64(ir.Mask(uint64(x), w) >> n)
+	}
+	return int64(ir.Mask(uint64(r), w)), true
 }
 
 // simplifyCFG folds constant conditional branches, removes newly
@@ -298,7 +212,7 @@ func simplifyCFG(f *ir.Func) bool {
 		if b.Term == nil || b.Term.Op != ir.OpCondBr {
 			continue
 		}
-		c, ok := cval(b.Term.Args[0])
+		c, ok := b.Term.Args[0].ConstInt()
 		if !ok {
 			continue
 		}
@@ -320,7 +234,7 @@ func simplifyCFG(f *ir.Func) bool {
 	for _, b := range f.Blocks {
 		for _, v := range b.Instrs {
 			if v.Op == ir.OpPhi && len(v.Args) == 1 {
-				replaceAllUses(f, v, v.Args[0])
+				ir.ReplaceUses(f, v, v.Args[0])
 				v.Op = ir.OpUnknown // dead; removed by DCE
 				v.Args = nil
 				changed = true
@@ -340,18 +254,6 @@ func removePred(b, pred *ir.Block) {
 				}
 			}
 			return
-		}
-	}
-}
-
-func replaceAllUses(f *ir.Func, old, new *ir.Value) {
-	for _, b := range f.Blocks {
-		for v := range b.All() {
-			for i, a := range v.Args {
-				if a == old {
-					v.Args[i] = new
-				}
-			}
 		}
 	}
 }

@@ -74,8 +74,8 @@ func collectRangeFacts(f *ir.Func, dom *ir.DomTree) map[*ir.Block]rangeFact {
 // recordSignFact interprets comparisons against constants.
 func recordSignFact(fact *rangeFact, cmp *ir.Value, negated bool) {
 	x, y := cmp.Args[0], cmp.Args[1]
-	cy, okY := cval(y)
-	cx, okX := cval(x)
+	cy, okY := y.ConstInt()
+	cx, okX := x.ConstInt()
 	pred := cmp.Pred()
 	if negated {
 		// The false edge: invert the predicate.
@@ -100,17 +100,17 @@ func recordSignFact(fact *rangeFact, cmp *ir.Value, negated bool) {
 	}
 	switch pred {
 	case ir.CmpSLT:
-		if okY && sext(cy, y.Width) <= 0 { // x < c ≤ 0 → x negative
+		if okY && cy <= 0 { // x < c ≤ 0 → x negative
 			fact.negative[x] = true
 		}
-		if okX && sext(cx, x.Width) >= 0 { // 0 ≤ c < y → y positive
+		if okX && cx >= 0 { // 0 ≤ c < y → y positive
 			fact.positive[y] = true
 		}
 	case ir.CmpSLE:
-		if okY && sext(cy, y.Width) < 0 {
+		if okY && cy < 0 {
 			fact.negative[x] = true
 		}
-		if okX && sext(cx, x.Width) > 0 {
+		if okX && cx > 0 {
 			fact.positive[y] = true
 		}
 	}
@@ -184,7 +184,8 @@ func nonNegativeOffset(v *ir.Value) bool {
 	case ir.OpZExt:
 		return true
 	case ir.OpConst:
-		return sext(v.Aux, v.Width) >= 0
+		c, _ := v.ConstInt()
+		return c >= 0
 	case ir.OpMul:
 		return nonNegativeOffset(v.Args[0]) && nonNegativeOffset(v.Args[1])
 	}
@@ -222,8 +223,8 @@ func foldPtrOverflow(v, x, y *ir.Value) (bool, int64) {
 			sum, other = y, x
 		}
 		if sum.Op == ir.OpPtrAdd {
-			if c, ok := cval(other); ok && c == 0 {
-				if off, ok2 := cval(sum.Args[1]); ok2 && off != 0 {
+			if c, ok := other.ConstInt(); ok && c == 0 {
+				if off, ok2 := sum.Args[1].ConstInt(); ok2 && off != 0 {
 					if v.Pred() == ir.CmpEq {
 						return true, 0
 					}
@@ -241,10 +242,10 @@ func foldNullCheck(f *ir.Func, dom *ir.DomTree, b *ir.Block, v, x, y *ir.Value) 
 	}
 	ptr := x
 	other := y
-	if c, ok := cval(ptr); ok && c == 0 {
+	if c, ok := ptr.ConstInt(); ok && c == 0 {
 		ptr, other = y, x
 	}
-	if c, ok := cval(other); !ok || c != 0 {
+	if c, ok := other.ConstInt(); !ok || c != 0 {
 		return false, 0
 	}
 	// Find a dereference of ptr that dominates the comparison.
@@ -253,7 +254,7 @@ func foldNullCheck(f *ir.Func, dom *ir.DomTree, b *ir.Block, v, x, y *ir.Value) 
 			if w.Op != ir.OpLoad && w.Op != ir.OpStore {
 				continue
 			}
-			if rootPtr(w.Args[0]) != ptr {
+			if ir.RootPointer(w.Args[0]) != ptr {
 				continue
 			}
 			if d == b && !precedes(d, w, v) {
@@ -267,13 +268,6 @@ func foldNullCheck(f *ir.Func, dom *ir.DomTree, b *ir.Block, v, x, y *ir.Value) 
 		}
 	}
 	return false, 0
-}
-
-func rootPtr(v *ir.Value) *ir.Value {
-	for v.Op == ir.OpPtrAdd || v.Op == ir.OpIndexAddr {
-		v = v.Args[0]
-	}
-	return v
 }
 
 func precedes(b *ir.Block, a, c *ir.Value) bool {
@@ -295,13 +289,13 @@ func foldSignedOverflow(v, x, y *ir.Value) (bool, int64) {
 			return 0, false
 		}
 		if sum.Args[0] == base {
-			if c, ok := cval(sum.Args[1]); ok {
-				return sext(c, sum.Width), true
+			if c, ok := sum.Args[1].ConstInt(); ok {
+				return c, true
 			}
 		}
 		if sum.Args[1] == base {
-			if c, ok := cval(sum.Args[0]); ok {
-				return sext(c, sum.Width), true
+			if c, ok := sum.Args[0].ConstInt(); ok {
+				return c, true
 			}
 		}
 		return 0, false
@@ -337,10 +331,10 @@ func foldValueRange(fact rangeFact, v, x, y *ir.Value) (bool, int64) {
 		}
 		// x +nsw c with x positive and c ≥ 0 stays positive.
 		if val.Op == ir.OpAdd && val.Signed {
-			if c, ok := cval(val.Args[1]); ok && fact.positive[val.Args[0]] && sext(c, val.Width) >= 0 {
+			if c, ok := val.Args[1].ConstInt(); ok && fact.positive[val.Args[0]] && c >= 0 {
 				return true, false
 			}
-			if c, ok := cval(val.Args[0]); ok && fact.positive[val.Args[1]] && sext(c, val.Width) >= 0 {
+			if c, ok := val.Args[0].ConstInt(); ok && fact.positive[val.Args[1]] && c >= 0 {
 				return true, false
 			}
 		}
@@ -356,9 +350,7 @@ func foldValueRange(fact rangeFact, v, x, y *ir.Value) (bool, int64) {
 		}
 		return false, false
 	}
-	cy, okY := cval(y)
-	if okY {
-		yv := sext(cy, y.Width)
+	if yv, ok := y.ConstInt(); ok {
 		pos, neg := known(x)
 		switch v.Pred() {
 		case ir.CmpSLT:
@@ -377,9 +369,7 @@ func foldValueRange(fact rangeFact, v, x, y *ir.Value) (bool, int64) {
 			}
 		}
 	}
-	cx, okX := cval(x)
-	if okX {
-		xv := sext(cx, x.Width)
+	if xv, ok := x.ConstInt(); ok {
 		pos, neg := known(y)
 		switch v.Pred() {
 		case ir.CmpSLE:
@@ -413,11 +403,11 @@ func foldShift(v, x, y *ir.Value) (bool, int64) {
 	if sh.Op != ir.OpShl {
 		return false, 0
 	}
-	c, ok := cval(sh.Args[0])
+	c, ok := sh.Args[0].ConstInt()
 	if !ok || c == 0 {
 		return false, 0
 	}
-	if z, ok := cval(other); !ok || z != 0 {
+	if z, ok := other.ConstInt(); !ok || z != 0 {
 		return false, 0
 	}
 	// nonzero << x is never 0 for in-range x (no truncation of the
@@ -437,24 +427,24 @@ func foldAbs(v, x, y *ir.Value) (bool, int64) {
 		return val.Op == ir.OpCall && (val.AuxName == "abs" || val.AuxName == "labs")
 	}
 	if isAbs(x) {
-		if c, ok := cval(y); ok && sext(c, y.Width) <= 0 {
+		if c, ok := y.ConstInt(); ok && c <= 0 {
 			switch v.Pred() {
 			case ir.CmpSLT: // abs(x) < c ≤ 0 → false
 				return true, 0
 			case ir.CmpSLE:
-				if sext(c, y.Width) < 0 {
+				if c < 0 {
 					return true, 0
 				}
 			}
 		}
 	}
 	if isAbs(y) {
-		if c, ok := cval(x); ok && sext(c, x.Width) <= 0 {
+		if c, ok := x.ConstInt(); ok && c <= 0 {
 			switch v.Pred() {
 			case ir.CmpSLE: // c ≤ abs(x) → true for c ≤ 0
 				return true, 1
 			case ir.CmpSLT:
-				if sext(c, x.Width) < 0 {
+				if c < 0 {
 					return true, 1
 				}
 			}
