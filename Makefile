@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet staticcheck vulncheck invariants test bench-test race stackd-race fleet-race ssa-differential cache-identity bench-smoke bench fuzz-smoke service-smoke cover race-cover ci
+.PHONY: all build vet staticcheck vulncheck invariants test bench-test race stackd-race fleet-race ssa-differential cache-identity bench-smoke bench fuzz-smoke service-smoke examples-smoke cover race-cover ci
 
 all: build
 
@@ -140,6 +140,17 @@ fuzz-smoke:
 service-smoke:
 	./scripts/service-smoke.sh
 
+# Run every program under examples/ and diff its stdout against the
+# committed examples/<name>/want.txt, so a change that moves what an
+# example prints fails here instead of going unnoticed.
+examples-smoke:
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for d in examples/*/; do \
+		$(GO) run ./$$d > "$$out"; \
+		diff -u $${d}want.txt "$$out"; \
+		echo "ok   $$d"; \
+	done
+
 # Aggregate coverage over every package.
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
@@ -151,4 +162,4 @@ race-cover:
 	$(GO) test -race -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-ci: vet staticcheck vulncheck invariants build race-cover bench-test fleet-race ssa-differential cache-identity bench-smoke fuzz-smoke service-smoke
+ci: vet staticcheck vulncheck invariants build race-cover bench-test fleet-race ssa-differential cache-identity bench-smoke fuzz-smoke service-smoke examples-smoke
