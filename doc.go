@@ -115,7 +115,7 @@
 // first looks the file up by a content address, SHA-256 over the
 // source bytes plus a canonical fingerprint naming every
 // result-affecting option, and on a hit replays the stored reports
-// (positions rehydrated to the requesting file name) without building
+// (named as the requesting file) without building
 // IR or touching the solver. Execution knobs that cannot change
 // results — worker count, sinks — are excluded from the key by
 // construction, so analyzers differing only in them share entries. The package ships an in-memory LRU with a byte budget

@@ -23,10 +23,11 @@ func (pp *Preprocessor) refPreprocess(file, src string) ([]Token, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pp.run(toks, func(out, toks []Token, i int) ([]Token, int, error) {
+	out, err := pp.run(toks, func(out, toks []Token, i int) ([]Token, int, error) {
 		exp, n, err := pp.refExpand(toks, i, nil)
 		return append(out, exp...), n, err
 	})
+	return out, inFile(err, file)
 }
 
 // refExpand expands the macro invocation (if any) at toks[i]. It

@@ -173,6 +173,9 @@ func (c *Checker) CheckProgram(ctx context.Context, p *ir.Program) ([]*Report, e
 		if err != nil {
 			return nil, err
 		}
+		for _, r := range reports {
+			r.File = p.File
+		}
 		out = append(out, reports...)
 	}
 	sort.SliceStable(out, func(i, j int) bool {

@@ -9,18 +9,20 @@ import (
 )
 
 // UBRef references one undefined-behavior condition in a report: its
-// kind and the source position of the construct carrying it.
+// kind and the source position, in the report's file, of the construct
+// carrying it.
 type UBRef struct {
 	Kind UBKind
 	Pos  cc.Pos
 }
 
-func (r UBRef) String() string { return fmt.Sprintf("%s at %s", r.Kind, r.Pos) }
-
 // Report is one unstable-code finding (paper §4.5): the fragment the
 // solver-based optimizer discarded or simplified, together with the
-// minimal set of UB conditions that made it unstable.
+// minimal set of UB conditions that made it unstable. File names the
+// translation unit every position of the report lies in; CheckProgram
+// sets it from ir.Program.File.
 type Report struct {
+	File       string
 	Func       string
 	Algo       Algo
 	Pos        cc.Pos
@@ -33,14 +35,14 @@ type Report struct {
 
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: unstable code in %s [%s]", r.Pos, r.Func, r.Algo)
+	fmt.Fprintf(&b, "%s: unstable code in %s [%s]", r.Pos.In(r.File), r.Func, r.Algo)
 	if r.Simplified != "" {
 		fmt.Fprintf(&b, " — simplifies to %s", r.Simplified)
 	}
 	if len(r.UBConds) > 0 {
 		b.WriteString("\n  due to undefined behavior:")
 		for _, u := range r.UBConds {
-			fmt.Fprintf(&b, "\n    %s", u)
+			fmt.Fprintf(&b, "\n    %s at %s", u.Kind, u.Pos.In(r.File))
 		}
 	}
 	return b.String()

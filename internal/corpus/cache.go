@@ -33,15 +33,13 @@ func (cf CachedFile) ReplayHit(st *core.Stats) {
 // exactly like fresh ones, so ordering and byte-identity of the
 // diagnostic stream are untouched.
 //
-// The cache is keyed by content, not by name — Lookup receives the
-// display name only so implementations can rehydrate name-dependent
-// report positions (every span in a cached report names the file that
-// was analyzed when the entry was stored; the stack layer rewrites
-// them to the requesting name). Implementations must be safe for
+// The cache is keyed by content, not by name: a hit may come from a
+// file stored under another name, and CheckFile names the requesting
+// file in the reports it returns. Implementations must be safe for
 // concurrent use: one ResultCache serves every worker of a sweep.
 // Lookup must treat any unreadable, truncated, or corrupt entry as a
 // miss — never as an error, and never as a payload.
 type ResultCache interface {
-	Lookup(name, src string) (CachedFile, bool)
-	Store(name, src string, cf CachedFile)
+	Lookup(src string) (CachedFile, bool)
+	Store(src string, cf CachedFile)
 }

@@ -27,8 +27,8 @@ func sweepOpts() core.Options {
 // form for byte-level comparison.
 func reportLogLines(res *SweepResult) string {
 	var b strings.Builder
-	for _, fr := range res.ReportLog {
-		fmt.Fprintf(&b, "%s: %s\n", fr.File, fr.Report)
+	for _, r := range res.ReportLog {
+		fmt.Fprintf(&b, "%s: %s\n", r.File, r)
 	}
 	return b.String()
 }
@@ -124,11 +124,11 @@ func TestSweepErrorPropagation(t *testing.T) {
 // each of which happens as a file enters the per-file pipeline.
 type countingCache struct{ lookups atomic.Int64 }
 
-func (c *countingCache) Lookup(string, string) (CachedFile, bool) {
+func (c *countingCache) Lookup(string) (CachedFile, bool) {
 	c.lookups.Add(1)
 	return CachedFile{}, false
 }
-func (*countingCache) Store(string, string, CachedFile) {}
+func (*countingCache) Store(string, CachedFile) {}
 
 // TestCheckPreCancelledRunsNothing: with ctx already done, no file
 // enters the pipeline — not even one that would fail to parse — and
@@ -152,12 +152,12 @@ func TestCheckPreCancelledRunsNothing(t *testing.T) {
 }
 
 // panicCache is an always-missing ResultCache whose Store panics for
-// one file, after that file's analysis has finished.
-type panicCache struct{ file string }
+// one source, after that file's analysis has finished.
+type panicCache struct{ src string }
 
-func (*panicCache) Lookup(string, string) (CachedFile, bool) { return CachedFile{}, false }
-func (c *panicCache) Store(name, _ string, _ CachedFile) {
-	if name == c.file {
+func (*panicCache) Lookup(string) (CachedFile, bool) { return CachedFile{}, false }
+func (c *panicCache) Store(src string, _ CachedFile) {
+	if src == c.src {
 		panic("store failed")
 	}
 }
@@ -175,7 +175,7 @@ func TestCheckFileIsolatesPanics(t *testing.T) {
 		}
 	}
 	bad := files[3].Name
-	sw := &Sweeper{Options: sweepOpts(), Cache: &panicCache{file: bad}}
+	sw := &Sweeper{Options: sweepOpts(), Cache: &panicCache{src: files[3].Text}}
 	shared := core.New(sw.Options)
 	var st core.Stats
 	reports := 0

@@ -177,12 +177,12 @@ func TestWarmCacheRehydratesFileNames(t *testing.T) {
 func TestCacheKeyOptionSensitivity(t *testing.T) {
 	base := core.DefaultOptions
 	src := "int f(void) { return 0; }"
-	baseKey := cacheKeyOf(base, src)
+	baseKey := newResultCache(nil, base).key(src)
 
-	if cacheKeyOf(base, src) != baseKey {
+	if newResultCache(nil, base).key(src) != baseKey {
 		t.Fatal("cache key is not deterministic")
 	}
-	if cacheKeyOf(base, src+" ") == baseKey {
+	if newResultCache(nil, base).key(src+" ") == baseKey {
 		t.Error("source bytes do not affect the key")
 	}
 
@@ -201,7 +201,7 @@ func TestCacheKeyOptionSensitivity(t *testing.T) {
 	for name, mutate := range mutations {
 		o := base
 		mutate(&o)
-		if cacheKeyOf(o, src) == baseKey {
+		if newResultCache(nil, o).key(src) == baseKey {
 			t.Errorf("mutating %s does not change the cache key", name)
 		}
 	}
@@ -330,7 +330,7 @@ func TestCacheCorruptPayloadIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Overwrite the stored entry with junk under the same key.
-	c.Put(cacheKeyOf(az.coreOptions(), fig1Src), []byte("{not json"))
+	c.Put(newResultCache(nil, az.coreOptions()).key(fig1Src), []byte("{not json"))
 	res, err := az.CheckSource(ctx, "a.c", fig1Src)
 	if err != nil {
 		t.Fatal(err)

@@ -120,7 +120,7 @@ func diagnosticOf(r *core.Report) Diagnostic {
 		Code:       ruleCodes[r.Algo],
 		Algo:       r.Algo.String(),
 		Function:   r.Func,
-		Span:       Span{File: r.Pos.File, Line: r.Pos.Line, Col: r.Pos.Col},
+		Span:       Span{File: r.File, Line: r.Pos.Line, Col: r.Pos.Col},
 		Simplified: r.Simplified,
 		Origin:     r.Origin,
 		Category:   core.Classify(r, compilers.AnyModelDiscards).String(),
@@ -129,7 +129,7 @@ func diagnosticOf(r *core.Report) Diagnostic {
 		d.UB = append(d.UB, UBCondition{
 			Code: ubCodes[u.Kind],
 			Kind: u.Kind.String(),
-			Span: Span{File: u.Pos.File, Line: u.Pos.Line, Col: u.Pos.Col},
+			Span: Span{File: r.File, Line: u.Pos.Line, Col: u.Pos.Col},
 		})
 	}
 	return d
