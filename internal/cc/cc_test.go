@@ -61,6 +61,60 @@ func TestLexLineContinuation(t *testing.T) {
 	}
 }
 
+// TestLineContinuationKeepsPositions: a backslash-newline joins two
+// physical lines into one logical line, and every token keeps its
+// physical position, so code after a continued #define is reported on
+// the line it is on. A name followed by '(' across a splice is still a
+// function-like macro; a comment between them makes it object-like.
+func TestLineContinuationKeepsPositions(t *testing.T) {
+	src := "#define CHECK(p, n) \\\n" +
+		"  ((p) + (n) < (p))\n" +
+		"int f(char *p, unsigned n)\n" +
+		"{\n" +
+		"  if (p + n < p)\n" +
+		"    return 1;\n" +
+		"  return 0;\n" +
+		"}\n"
+	pp := NewPreprocessor()
+	toks, err := pp.Preprocess("t.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := pp.Macros["CHECK"]; m == nil || len(m.Params) != 2 || len(m.Body) != 13 {
+		t.Fatalf("continued #define read as %+v", m)
+	}
+	var got []string
+	for _, tk := range toks {
+		if tk.Text == "+" || tk.Text == "1" {
+			got = append(got, tk.Text+"@"+tk.Pos.String())
+		}
+	}
+	if want := []string{"+@5:9", "1@6:12"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("positions after the continuation = %v, want %v", got, want)
+	}
+
+	for _, tc := range []struct{ src, want string }{
+		{"#define F\\\n(x) x\nint a = F(2);\n", "int a = 2 ;"},
+		{"#define F/**/(x) x\nint a = F(2);\n", "int a = ( x ) x ( 2 ) ;"},
+		{"#define SUM 1 + \\\n 2 + \\\r\n 3\nint a = SUM;\n", "int a = 1 + 2 + 3 ;"},
+	} {
+		toks, err := NewPreprocessor().Preprocess("t.c", tc.src)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.src, err)
+		}
+		var texts []string
+		for _, tk := range toks[:len(toks)-1] {
+			texts = append(texts, tk.Text)
+		}
+		if got := strings.Join(texts, " "); got != tc.want {
+			t.Errorf("%q expands to %q, want %q", tc.src, got, tc.want)
+		}
+		if line := toks[0].Pos.Line; line != strings.Count(tc.src, "\n") {
+			t.Errorf("%q: int at line %d, want the last line", tc.src, line)
+		}
+	}
+}
+
 func TestLexErrors(t *testing.T) {
 	if _, err := Tokenize("t.c", "\"unterminated"); err == nil {
 		t.Fatal("want error for unterminated string")
