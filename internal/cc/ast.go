@@ -152,6 +152,13 @@ type Block struct {
 	Stmts []Stmt
 }
 
+// DeclList is a local declaration with several declarators, such as
+// "int a, b = 1;". Its names are declared in the enclosing scope.
+type DeclList struct {
+	stmtNode
+	Decls []*DeclStmt
+}
+
 // DeclStmt declares a local variable, optionally initialized.
 type DeclStmt struct {
 	stmtNode
@@ -185,7 +192,7 @@ type While struct {
 // For is for (Init; Cond; Post) Body; any part may be nil.
 type For struct {
 	stmtNode
-	Init Stmt // DeclStmt or ExprStmt
+	Init Stmt // DeclStmt, DeclList or ExprStmt
 	Cond Expr
 	Post Expr
 	Body Stmt

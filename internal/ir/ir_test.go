@@ -658,3 +658,28 @@ int f(int x) {
 		}
 	}
 }
+
+// TestMultiDeclaratorLocals: the names of a local declaration with
+// several declarators belong to the enclosing scope, so each program
+// builds the same IR as its declarations written one per line.
+func TestMultiDeclaratorLocals(t *testing.T) {
+	for _, tc := range []struct{ joined, split string }{
+		{
+			"int f(int n) { int a, b; b = 2; return b + n; }",
+			"int f(int n) { int a; int b; b = 2; return b + n; }",
+		},
+		{
+			"int f(int n) { int a = 0, b = 1; return a + b + n; }",
+			"int f(int n) { int a = 0; int b = 1; return a + b + n; }",
+		},
+		{
+			"int f(int n) { int s = 0; for (int i = 0, j = n; i < j; i++) s = s + i; return s; }",
+			"int f(int n) { int s = 0; { int i = 0; int j = n; for (; i < j; i++) s = s + i; } return s; }",
+		},
+	} {
+		got := fn(t, build(t, tc.joined), "f").String()
+		if want := fn(t, build(t, tc.split), "f").String(); got != want {
+			t.Errorf("%s builds\n%s\nwant\n%s", tc.joined, got, want)
+		}
+	}
+}
