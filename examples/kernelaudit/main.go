@@ -11,10 +11,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/cc"
-	"repro/internal/compilers"
-	"repro/internal/core"
-	"repro/internal/ir"
+	"repro/stack"
 )
 
 const module = `
@@ -77,33 +74,18 @@ int ring_get(struct ring_dev *dev, int idx) {
 `
 
 func main() {
-	file, err := cc.Parse("ring.c", module)
+	res, err := stack.New().CheckSource(context.Background(), "ring.c", module)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := cc.Check(file); err != nil {
-		log.Fatal(err)
-	}
-	prog, err := ir.Build(file)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	checker := core.New(core.DefaultOptions)
-	reports, err := checker.CheckProgram(context.Background(), prog)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("audit of ring.c: %d report(s)\n\n", len(reports))
-	for _, r := range reports {
-		fmt.Println(r)
-		fmt.Printf("  category: %s\n\n", core.Classify(r, compilers.AnyModelDiscards))
-	}
-
+	fmt.Printf("audit of ring.c: %d report(s)\n\n", len(res.Diagnostics))
 	byFunc := map[string]int{}
-	for _, r := range reports {
-		byFunc[r.Func]++
+	for _, d := range res.Diagnostics {
+		fmt.Println(d)
+		fmt.Printf("  category: %s\n\n", d.Category)
+		byFunc[d.Function]++
 	}
+
 	fmt.Println("per entry point:")
 	for _, fn := range []string{"ring_poll", "ring_flush", "ring_put", "ring_parse", "ring_get"} {
 		verdict := "clean"

@@ -1,6 +1,6 @@
 // Quickstart: check a C snippet for unstable code with the public
-// checker pipeline — frontend, IR, solver-based analysis — in a few
-// lines. The snippet is Figure 1 of the paper: the pointer-overflow
+// stack API, which runs the whole checker pipeline — frontend, IR,
+// solver-based analysis — in one call. The snippet is Figure 1 of the paper: the pointer-overflow
 // sanity check that gcc silently deletes.
 package main
 
@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/cc"
-	"repro/internal/core"
-	"repro/internal/ir"
+	"repro/stack"
 )
 
 const src = `
@@ -26,30 +24,13 @@ int parse_header(char *buf, char *buf_end, unsigned int len) {
 `
 
 func main() {
-	// 1. Frontend: preprocess, parse, and type-check.
-	file, err := cc.Parse("figure1.c", src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := cc.Check(file); err != nil {
-		log.Fatal(err)
-	}
-
-	// 2. Lower to SSA IR (the LLVM-IR analogue).
-	prog, err := ir.Build(file)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 3. Run STACK with the paper's default configuration: 5-second
+	// Run STACK with the paper's default configuration: 5-second
 	// query timeout, origin filtering, minimal UB sets.
-	checker := core.New(core.DefaultOptions)
-	reports, err := checker.CheckProgram(context.Background(), prog)
+	res, err := stack.New().CheckSource(context.Background(), "figure1.c", src)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Print(core.FormatReports(reports))
-	st := checker.Stats()
-	fmt.Printf("(%d solver queries, %d timeouts)\n", st.Queries, st.Timeouts)
+	fmt.Print(stack.FormatDiagnostics(res.Diagnostics))
+	fmt.Printf("(%d solver queries, %d timeouts)\n", res.Stats.Queries, res.Stats.Timeouts)
 }
