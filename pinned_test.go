@@ -61,7 +61,7 @@ var pinnedWork = map[string]workPin{
 		"legacy": `{"functions":24,"blocks":168,"queries":408,"timeouts":0,"rewriteHits":960,"termsCreated":2923,"fastPaths":0,"termsBlasted":2715,"blastPasses":56,"learntsReused":1073344,"cacheHits":917,"learntsDropped":0,"arenaBytesReused":0,"witnessHits":323}`,
 		"ssa":    `{"functions":24,"blocks":168,"queries":240,"timeouts":0,"rewriteHits":1080,"termsCreated":2563,"fastPaths":0,"termsBlasted":1306,"blastPasses":39,"learntsReused":26414,"cacheHits":1128,"learntsDropped":0,"arenaBytesReused":0,"gvnHits":48,"sccpFoldedValues":72,"sccpFoldedBranches":24,"sccpUnreachableBlocks":24,"crossBlockGvnHits":101,"hoistedUbTerms":48,"ssaSharpened":24,"witnessHits":180}`,
 	}},
-	"BenchmarkWarmSweep": {allocs: 6438, rows: map[string]string{
+	"BenchmarkWarmSweep": {allocs: 5353, rows: map[string]string{
 		"counts": `{"cacheResultHits":360,"cacheResultMisses":0,"files":360,"queries":0,"reports":245}`,
 	}},
 	"BenchmarkFig9BugCorpus": {rows: map[string]string{
