@@ -34,8 +34,8 @@ vulncheck:
 
 # Structural invariants (one emitter; append-only diagnostic codes;
 # complete cache fingerprint; accounted SSA passes; one per-file
-# pipeline; no unshipped options), plus the script's own self-test
-# proving the checks can fail.
+# pipeline; no unshipped options; one SSA construction), plus the
+# script's own self-test proving the checks can fail.
 invariants:
 	./scripts/invariants.sh
 	./scripts/invariants.sh --self-test
@@ -113,9 +113,12 @@ bench:
 # against the copy-per-step reference expander: tokens, errors and
 # budget charges. FuzzFoldMatchesExec checks the IR constant folder that
 # SCCP and the Fig. 4 optimizer share against the concrete evaluator,
-# per operation at widths 1 to 64. The last four are the SSA differential oracles: end-to-end byte identity of checker output
+# per operation at widths 1 to 64. The next four are the SSA differential oracles: end-to-end byte identity of checker output
 # keyed on SSASharpened, plus per-pass execution equivalence for SCCP,
-# loop-invariant UB hoisting, and cross-block GVN.
+# loop-invariant UB hoisting, and cross-block GVN. The last,
+# FuzzBuildPromotionDifferential, checks SSA construction: ir.Build,
+# which promotes the locals whose address is never taken, against the
+# build that leaves every local in memory.
 fuzz-smoke:
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime $(FUZZTIME)
@@ -131,6 +134,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzSCCPDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzHoistDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzGVNDifferential$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzBuildPromotionDifferential$$' -fuzztime $(FUZZTIME)
 
 # End-to-end service smoke: build stackd + the stack CLI, start two
 # replicas, and require a sharded `stack -remote` run (text and jsonl)

@@ -674,6 +674,7 @@ int sccp%02d(int n, int a, int b) {
 			dead = dead * %d + a * b;
 			dead = dead << n;
 		}
+		flag = flag & 1;        /* loop-carried: SCCP proves it stays 0 */
 		i = i + 1;
 	} while (i < n);
 	return s + dead;

@@ -74,11 +74,17 @@
 // since the global-analysis suite landed — it is on by default:
 // stack.New() analyzes in SSA mode, and stack.WithSSA(false) is the
 // escape hatch that selects the legacy pipeline, kept alive as the
-// differential reference the gates compare against. The stack is:
-// mem2reg promotes non-escaping address-taken locals to
-// phi-connected values (pruned phi placement on dominance frontiers,
-// with alias-forwarding through the pointer phis the IR builder
-// threads between blocks); sparse conditional constant propagation
+// differential reference the gates compare against. Either pipeline
+// starts from SSA form: ir.Build gives every local and parameter a
+// stack slot, as every local starts as an alloca in LLVM, and lifts
+// the slots whose address is never taken with the same pruned
+// construction (phi placement on the iterated dominance frontier,
+// pruned to live-in blocks, then one renaming walk over the dominator
+// tree). The stack is:
+// mem2reg promotes the address-taken locals whose address does not
+// escape to phi-connected values, by that same construction (with
+// alias-forwarding through the phis that carry a slot's address
+// between blocks); sparse conditional constant propagation
 // folds values and branch conditions proved constant by the
 // optimistic executable-edge iteration; global value numbering merges
 // structurally identical pure computations within a block and into

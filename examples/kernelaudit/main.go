@@ -95,5 +95,5 @@ func main() {
 		fmt.Printf("  %-12s %s\n", fn, verdict)
 	}
 	fmt.Println("\n(ring_flush's macro-origin check is suppressed; re-run the checker")
-	fmt.Println(" with FilterOrigins=false to see it.)")
+	fmt.Println(" with stack.WithOriginFilter(false), or stack -no-filter, to see it.)")
 }

@@ -5,6 +5,7 @@ package core
 // NOT produce reports.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -322,5 +323,31 @@ int f(char c) {
 		if r.Algo != AlgoElimination {
 			t.Errorf("char promotion check reported: %v", r)
 		}
+	}
+}
+
+// TestAddressTakenAfterBranchStillChecked: a local whose address is
+// taken after a branch holds its value in memory on every path, so
+// the overflow check read through the pointer is found as it is in
+// the branch-free twin. The two files differ only in line 3, and the
+// reports must be the same.
+func TestAddressTakenAfterBranchStillChecked(t *testing.T) {
+	const file = `
+int f(int x, int c) {
+	%s
+	int *p = &x;
+	if (*p + 100 < *p)
+		return 1;
+	return c;
+}
+`
+	twin := analyze(t, fmt.Sprintf(file, "c = 0;"), DefaultOptions)
+	r := wantReportWithUB(t, twin, UBSignedOverflow)
+	if r.Algo != AlgoElimination {
+		t.Fatalf("branch-free twin: got %v, want an elimination report", r)
+	}
+	branched := analyze(t, fmt.Sprintf(file, "if (c) c = 0;"), DefaultOptions)
+	if got, want := FormatReports(branched), FormatReports(twin); got != want {
+		t.Errorf("with a branch before &x:\n%s\nwithout it:\n%s", got, want)
 	}
 }

@@ -67,10 +67,13 @@ type Options struct {
 	// Production callers leave ScratchSolve false.
 	ScratchSolve bool
 	// SSA runs the pruned-SSA pass stack (ir.RunSSAPasses: mem2reg
-	// promotion of non-escaping allocas, sparse conditional constant
+	// promotion of the address-taken locals whose address does not
+	// escape, which ir.Build leaves in memory, sparse conditional constant
 	// propagation, dominator-ordered value numbering, dead-store
 	// elimination, loop-invariant UB hoisting) over each function
-	// before UB-condition insertion and encoding. On since
+	// before UB-condition insertion and encoding. Either way the IR is
+	// in SSA form: ir.Build already promotes every local whose address
+	// is never taken. On since
 	// PR 10 (set by DefaultOptions); the legacy pipeline remains the
 	// differential reference behind SSA=false. The passes are
 	// engineered so that sweep output is byte-identical to the legacy

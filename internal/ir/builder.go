@@ -2,21 +2,28 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cc"
 )
 
 // Build lowers a type-checked translation unit to IR, one Func per
-// function with a body. SSA form is constructed on the fly following
-// Braun et al. (simple and efficient SSA construction), which suits a
-// single-pass lowering from a structured AST.
-func Build(file *cc.File) (*Program, error) {
+// function with a body. As in LLVM, where every local starts as an
+// alloca, every named local and parameter starts as a stack slot: an
+// OpUnknown "addrof.<name>#<n>" value that reads load from and writes
+// store to, and that &x returns. Once a function's CFG is complete,
+// the slots of scalars whose address was never taken are promoted to
+// SSA values (ssa.go), which is where every variable phi is placed.
+func Build(file *cc.File) (*Program, error) { return buildProgram(file, true) }
+
+// buildProgram is Build; with promote false, every slot stays in memory.
+func buildProgram(file *cc.File, promote bool) (*Program, error) {
 	p := &Program{File: file.Name}
 	for _, fn := range file.Funcs {
 		if fn.Body == nil {
 			continue
 		}
-		f, err := buildFunc(file, fn)
+		f, err := buildFunc(file, fn, promote)
 		if err != nil {
 			return nil, err
 		}
@@ -30,19 +37,27 @@ type builder struct {
 	fn   *Func
 	cur  *Block
 
-	defs       map[*Block]map[string]*Value
-	sealed     map[*Block]bool
-	incomplete map[*Block][]incompletePhi
-	varTypes   map[string]*cc.Type // unique var key -> C type
-	memVars    map[string]*Value   // address-taken/aggregate vars -> address value
-	scopes     []map[string]string // source name -> unique key
-	nextVarID  int
+	scopes []map[string]*local // source name -> the local it names
+	locals []*local            // in declaration order
+	// derived lists the conversions and truth tests, which take their
+	// position and origin from their operand. Promotion replaces a
+	// read of a local by the value it read, and they take them again
+	// from that value.
+	derived []*Value
 
 	breakTargets    []*Block
 	continueTargets []*Block
 }
 
-func buildFunc(file *cc.File, decl *cc.FuncDecl) (f *Func, err error) {
+// local is a named local variable or parameter: the slot that holds
+// it, its C type, and whether its address was taken.
+type local struct {
+	slot      *Value
+	typ       *cc.Type
+	addrTaken bool
+}
+
+func buildFunc(file *cc.File, decl *cc.FuncDecl, promote bool) (f *Func, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if be, ok := r.(buildError); ok {
@@ -52,29 +67,22 @@ func buildFunc(file *cc.File, decl *cc.FuncDecl) (f *Func, err error) {
 			panic(r)
 		}
 	}()
-	b := &builder{
-		file:       file,
-		fn:         &Func{Name: decl.Name},
-		defs:       map[*Block]map[string]*Value{},
-		sealed:     map[*Block]bool{},
-		incomplete: map[*Block][]incompletePhi{},
-		varTypes:   map[string]*cc.Type{},
-		memVars:    map[string]*Value{},
-	}
+	b := &builder{file: file, fn: &Func{Name: decl.Name}}
 	if decl.Ret.IsScalar() {
 		b.fn.RetWidth = decl.Ret.BitWidth()
 	}
 	entry := b.fn.NewBlock()
 	b.fn.Entry = entry
 	b.cur = entry
-	b.seal(entry)
 	b.pushScope()
 	for _, prm := range decl.Params {
 		v := b.emit(&Value{Op: OpParam, Width: prm.Type.BitWidth(), AuxName: prm.Name, Pos: decl.Position()})
 		b.fn.Params = append(b.fn.Params, v)
+	}
+	for i, prm := range decl.Params {
 		if prm.Name != "" {
-			key := b.declareVar(prm.Name, prm.Type)
-			b.writeVar(key, b.cur, v)
+			l := b.declareVar(prm.Name, prm.Type, decl.Position())
+			b.emit(&Value{Op: OpStore, Args: []*Value{l.slot, b.fn.Params[i]}, Pos: decl.Position()})
 		}
 	}
 	b.stmt(decl.Body)
@@ -84,6 +92,19 @@ func buildFunc(file *cc.File, decl *cc.FuncDecl) (f *Func, err error) {
 	}
 	b.popScope()
 	b.fn.RemoveUnreachableBlocks()
+	if promote {
+		var slots []*allocaInfo
+		for _, l := range b.locals {
+			if l.typ.IsScalar() && !l.addrTaken {
+				slots = append(slots, &allocaInfo{addr: l.slot, width: l.typ.BitWidth()})
+			}
+		}
+		promoteLocals(b.fn, slots)
+		for _, v := range b.derived {
+			v.Pos, v.Origin = v.Args[0].Pos, v.Args[0].Origin
+		}
+		b.fn.renumber()
+	}
 	return b.fn, nil
 }
 
@@ -93,153 +114,38 @@ func (b *builder) failf(pos cc.Pos, format string, args ...interface{}) {
 	panic(buildError{&cc.Error{File: b.file.Name, Pos: pos, Msg: fmt.Sprintf(format, args...)}})
 }
 
-// --- scopes and SSA bookkeeping -------------------------------------------
+// --- scopes -------------------------------------------------------------------
 
-func (b *builder) pushScope() { b.scopes = append(b.scopes, map[string]string{}) }
+func (b *builder) pushScope() { b.scopes = append(b.scopes, map[string]*local{}) }
 func (b *builder) popScope()  { b.scopes = b.scopes[:len(b.scopes)-1] }
 
-func (b *builder) declareVar(name string, t *cc.Type) string {
-	b.nextVarID++
-	key := fmt.Sprintf("%s#%d", name, b.nextVarID)
-	b.scopes[len(b.scopes)-1][name] = key
-	b.varTypes[key] = t
-	return key
+// declareVar brings a local into the innermost scope and emits its
+// slot, numbered by declaration order so that two locals of one name
+// get distinct slot names.
+func (b *builder) declareVar(name string, t *cc.Type, pos cc.Pos) *local {
+	slot := b.emit(&Value{Op: OpUnknown, Width: cc.PointerWidth, AuxName: "addrof." + name + "#" + strconv.Itoa(len(b.locals)+1), Pos: pos})
+	l := &local{slot: slot, typ: t}
+	b.locals = append(b.locals, l)
+	b.scopes[len(b.scopes)-1][name] = l
+	return l
 }
 
-func (b *builder) resolveVar(name string) (string, bool) {
+func (b *builder) resolveVar(name string) *local {
 	for i := len(b.scopes) - 1; i >= 0; i-- {
-		if key, ok := b.scopes[i][name]; ok {
-			return key, true
+		if l, ok := b.scopes[i][name]; ok {
+			return l
 		}
 	}
-	return "", false
-}
-
-func (b *builder) writeVar(key string, blk *Block, v *Value) {
-	m := b.defs[blk]
-	if m == nil {
-		m = map[string]*Value{}
-		b.defs[blk] = m
-	}
-	m[key] = v
-}
-
-func (b *builder) readVar(key string, blk *Block) *Value {
-	if v, ok := b.defs[blk][key]; ok {
-		return v
-	}
-	return b.readVarRecursive(key, blk)
-}
-
-func (b *builder) varWidth(key string) int {
-	t := b.varTypes[key]
-	if t == nil || !t.IsScalar() {
-		return 64
-	}
-	return t.BitWidth()
-}
-
-func (b *builder) readVarRecursive(key string, blk *Block) *Value {
-	var v *Value
-	switch {
-	case !b.sealed[blk]:
-		v = b.newPhi(blk, b.varWidth(key))
-		b.incomplete[blk] = append(b.incomplete[blk], incompletePhi{key, v})
-	case len(blk.Preds) == 0:
-		// Entry reached without a definition: the variable is
-		// uninitialized here. The paper's checker deliberately does not
-		// model uninitialized-use UB (§4.6); an opaque value matches.
-		v = b.valIn(blk, &Value{Op: OpUnknown, Width: b.varWidth(key), AuxName: "uninit." + key})
-		blk.Instrs = append([]*Value{v}, blk.Instrs...)
-	case len(blk.Preds) == 1:
-		v = b.readVar(key, blk.Preds[0])
-	default:
-		phi := b.newPhi(blk, b.varWidth(key))
-		b.writeVar(key, blk, phi)
-		v = b.addPhiOperands(key, phi)
-	}
-	b.writeVar(key, blk, v)
-	return v
-}
-
-func (b *builder) newPhi(blk *Block, width int) *Value {
-	v := b.valIn(blk, &Value{Op: OpPhi, Width: width})
-	blk.Instrs = append([]*Value{v}, blk.Instrs...)
-	return v
-}
-
-func (b *builder) addPhiOperands(key string, phi *Value) *Value {
-	for _, pred := range phi.Block.Preds {
-		phi.Args = append(phi.Args, b.readVar(key, pred))
-	}
-	return b.tryRemoveTrivialPhi(phi)
-}
-
-// tryRemoveTrivialPhi replaces a phi whose operands are all the same
-// value (or the phi itself) with that value.
-func (b *builder) tryRemoveTrivialPhi(phi *Value) *Value {
-	var same *Value
-	for _, a := range phi.Args {
-		if a == phi || a == same {
-			continue
-		}
-		if same != nil {
-			return phi // not trivial
-		}
-		same = a
-	}
-	if same == nil {
-		return phi // self-referential only; keep (degenerate loop)
-	}
-	ReplaceUses(b.fn, phi, same)
-	// Remove phi from its block.
-	instrs := phi.Block.Instrs
-	for i, v := range instrs {
-		if v == phi {
-			phi.Block.Instrs = append(instrs[:i:i], instrs[i+1:]...)
-			break
-		}
-	}
-	// Variable defs pointing at phi must follow.
-	for _, m := range b.defs {
-		for k, v := range m {
-			if v == phi {
-				m[k] = same
-			}
-		}
-	}
-	return same
-}
-
-// incompletePhi is a phi placed in a block before all of the block's
-// predecessors were known; sealing the block completes its operands.
-// Sealing completes them in the order they were placed, so that the
-// values it creates are numbered the same in every build.
-type incompletePhi struct {
-	key string
-	phi *Value
-}
-
-func (b *builder) seal(blk *Block) {
-	if b.sealed[blk] {
-		return
-	}
-	b.sealed[blk] = true
-	for _, p := range b.incomplete[blk] {
-		b.addPhiOperands(p.key, p.phi)
-	}
-	delete(b.incomplete, blk)
+	return nil
 }
 
 // --- emit helpers -----------------------------------------------------------
 
-func (b *builder) valIn(blk *Block, v *Value) *Value {
+func (b *builder) val(v *Value) *Value {
 	v.ID = b.fn.NewValueID()
-	v.Block = blk
+	v.Block = b.cur
 	return v
 }
-
-func (b *builder) val(v *Value) *Value { return b.valIn(b.cur, v) }
 
 func (b *builder) emit(v *Value) *Value {
 	v = b.val(v)
@@ -272,9 +178,7 @@ func (b *builder) condBranch(cond *Value, t, f *Block, pos cc.Pos, origin string
 
 // startDeadBlock begins an unreachable continuation after ret/break.
 func (b *builder) startDeadBlock() {
-	blk := b.fn.NewBlock()
-	b.seal(blk)
-	b.cur = blk
+	b.cur = b.fn.NewBlock()
 }
 
 // coerce converts v (typed from) to the width/signedness of target.
@@ -286,14 +190,14 @@ func (b *builder) coerce(v *Value, from *cc.Type, to *cc.Type) *Value {
 	if v.Width == tw {
 		return v
 	}
-	if v.Width > tw {
-		return b.emit(&Value{Op: OpTrunc, Width: tw, Args: []*Value{v}, Pos: v.Pos, Origin: v.Origin})
+	op := OpTrunc
+	if v.Width < tw {
+		op = OpZExt
+		if from != nil && from.IsInteger() && from.Signed {
+			op = OpSExt
+		}
 	}
-	op := OpZExt
-	if from != nil && from.IsInteger() && from.Signed {
-		op = OpSExt
-	}
-	return b.emit(&Value{Op: op, Width: tw, Args: []*Value{v}, Pos: v.Pos, Origin: v.Origin})
+	return b.derive(&Value{Op: op, Width: tw, Args: []*Value{v}})
 }
 
 // asBool reduces a value to width 1 (v != 0).
@@ -302,7 +206,14 @@ func (b *builder) asBool(v *Value) *Value {
 		return v
 	}
 	zero := b.konst(0, v.Width)
-	return b.emit(&Value{Op: OpICmp, Width: 1, Aux: int64(CmpNe), Args: []*Value{v, zero}, Pos: v.Pos, Origin: v.Origin})
+	return b.derive(&Value{Op: OpICmp, Width: 1, Aux: int64(CmpNe), Args: []*Value{v, zero}})
+}
+
+// derive emits v with the position and origin of its first operand.
+func (b *builder) derive(v *Value) *Value {
+	v.Pos, v.Origin = v.Args[0].Pos, v.Args[0].Origin
+	b.derived = append(b.derived, v)
+	return b.emit(v)
 }
 
 // --- statements ---------------------------------------------------------------
@@ -364,18 +275,13 @@ func widthType(w int, signed bool) *cc.Type {
 }
 
 func (b *builder) declStmt(s *cc.DeclStmt) {
-	key := b.declareVar(s.Name, s.Type)
-	// Aggregates and arrays live in memory; their "value" is a stable
-	// abstract address.
-	if !s.Type.IsScalar() {
-		addr := b.emit(&Value{Op: OpUnknown, Width: cc.PointerWidth, AuxName: "addrof." + key, Pos: s.Position()})
-		b.memVars[key] = addr
-		return
-	}
-	if s.Init != nil {
+	l := b.declareVar(s.Name, s.Type, s.Position())
+	// An aggregate's initializer is not lowered: its slot is its
+	// "value", a stable abstract address.
+	if s.Init != nil && s.Type.IsScalar() {
 		v := b.expr(s.Init)
 		v = b.coerce(v, s.Init.ExprType(), s.Type)
-		b.writeVar(key, b.cur, v)
+		b.emit(&Value{Op: OpStore, Args: []*Value{l.slot, v}, Pos: s.Position()})
 	}
 }
 
@@ -386,8 +292,6 @@ func (b *builder) ifStmt(s *cc.If) {
 	cond := b.asBool(b.expr(s.Cond))
 	origin := macroOriginOf(s.Cond)
 	b.condBranch(cond, thenB, elseB, s.Position(), origin)
-	b.seal(thenB)
-	b.seal(elseB)
 
 	b.cur = thenB
 	b.stmt(s.Then)
@@ -399,7 +303,6 @@ func (b *builder) ifStmt(s *cc.If) {
 	}
 	b.branch(exitB, s.Position())
 
-	b.seal(exitB)
 	b.cur = exitB
 }
 
@@ -413,26 +316,17 @@ func (b *builder) whileStmt(s *cc.While) {
 		b.branch(header, s.Position())
 	}
 
-	b.cur = header // unsealed: back edge incoming
+	b.cur = header
 	cond := b.asBool(b.expr(s.Cond))
 	b.condBranch(cond, body, exit, s.Position(), macroOriginOf(s.Cond))
 
 	b.breakTargets = append(b.breakTargets, exit)
 	b.continueTargets = append(b.continueTargets, header)
-	if s.DoWhile {
-		b.seal(body)
-	}
 	b.cur = body
 	b.stmt(s.Body)
 	b.branch(header, s.Position())
 	b.breakTargets = b.breakTargets[:len(b.breakTargets)-1]
 	b.continueTargets = b.continueTargets[:len(b.continueTargets)-1]
-
-	b.seal(header)
-	if !s.DoWhile {
-		b.seal(body)
-	}
-	b.seal(exit)
 	b.cur = exit
 }
 
@@ -448,14 +342,13 @@ func (b *builder) forStmt(s *cc.For) {
 	exit := b.fn.NewBlock()
 	b.branch(header, s.Position())
 
-	b.cur = header // unsealed: back edge from post
+	b.cur = header
 	if s.Cond != nil {
 		cond := b.asBool(b.expr(s.Cond))
 		b.condBranch(cond, body, exit, s.Position(), macroOriginOf(s.Cond))
 	} else {
 		b.branch(body, s.Position())
 	}
-	b.seal(body)
 
 	b.breakTargets = append(b.breakTargets, exit)
 	b.continueTargets = append(b.continueTargets, post)
@@ -465,14 +358,11 @@ func (b *builder) forStmt(s *cc.For) {
 	b.breakTargets = b.breakTargets[:len(b.breakTargets)-1]
 	b.continueTargets = b.continueTargets[:len(b.continueTargets)-1]
 
-	b.seal(post)
 	b.cur = post
 	if s.Post != nil {
 		b.expr(s.Post)
 	}
 	b.branch(header, s.Position())
-	b.seal(header)
-	b.seal(exit)
 	b.cur = exit
 }
 
@@ -557,23 +447,15 @@ func (b *builder) emitVal(v *Value) *Value {
 }
 
 func (b *builder) identValue(e *cc.Ident) *Value {
-	if e.Name == "NULL" {
-		if _, ok := b.resolveVar("NULL"); !ok {
-			return b.emitAt(e, &Value{Op: OpConst, Width: cc.PointerWidth, Aux: 0})
-		}
+	l := b.resolveVar(e.Name)
+	if l == nil && e.Name == "NULL" {
+		return b.emitAt(e, &Value{Op: OpConst, Width: cc.PointerWidth, Aux: 0})
 	}
-	if key, ok := b.resolveVar(e.Name); ok {
-		if addr, isMem := b.memVars[key]; isMem {
-			t := b.varTypes[key]
-			if t.Kind == cc.TypeArray {
-				return addr // arrays decay to their address
-			}
-			if t.Kind == cc.TypeStruct {
-				return addr
-			}
-			return b.emitAt(e, &Value{Op: OpLoad, Width: t.BitWidth(), Args: []*Value{addr}})
+	if l != nil {
+		if !l.typ.IsScalar() {
+			return l.slot // arrays decay to their address; a struct is its address
 		}
-		return b.readVar(key, b.cur)
+		return b.emitAt(e, &Value{Op: OpLoad, Width: l.typ.BitWidth(), Args: []*Value{l.slot}})
 	}
 	// Global variable.
 	for _, g := range b.file.Vars {
@@ -645,34 +527,21 @@ func (b *builder) unary(e *cc.Unary) *Value {
 	return nil
 }
 
-// addressOf lowers &x; for SSA variables this demotes the variable to
-// a memory variable for the rest of the function (a simplification:
-// prior SSA uses keep their values, which preserves the analysis
-// semantics for the corpus, where & appears before other uses).
+// addressOf lowers &x. The address of a local is its slot, which
+// then stays in memory through construction.
 func (b *builder) addressOf(e cc.Expr) (*Value, bool) {
 	switch e := e.(type) {
 	case *cc.Ident:
-		key, ok := b.resolveVar(e.Name)
-		if !ok {
-			// Global.
-			for _, g := range b.file.Vars {
-				if g.Name == e.Name {
-					return b.emitAt(e, &Value{Op: OpGlobal, Width: cc.PointerWidth, AuxName: e.Name}), true
-				}
-			}
-			return nil, false
+		if l := b.resolveVar(e.Name); l != nil {
+			l.addrTaken = true
+			return l.slot, true
 		}
-		addr, isMem := b.memVars[key]
-		if !isMem {
-			addr = b.emitAt(e, &Value{Op: OpUnknown, Width: cc.PointerWidth, AuxName: "addrof." + key})
-			b.memVars[key] = addr
-			// Flush the current SSA value into memory so later loads
-			// observe it.
-			if cur, ok := b.defs[b.cur][key]; ok {
-				b.emitAt(e, &Value{Op: OpStore, Args: []*Value{addr, cur}})
+		for _, g := range b.file.Vars {
+			if g.Name == e.Name {
+				return b.emitAt(e, &Value{Op: OpGlobal, Width: cc.PointerWidth, AuxName: e.Name}), true
 			}
 		}
-		return addr, true
+		return nil, false
 	case *cc.Unary:
 		if e.Op == "*" {
 			return b.expr(e.X), true
@@ -767,13 +636,8 @@ func (b *builder) loadLvalue(e cc.Expr) (*Value, *cc.Type) {
 func (b *builder) storeLvalue(e cc.Expr, v *Value) {
 	switch e := e.(type) {
 	case *cc.Ident:
-		key, ok := b.resolveVar(e.Name)
-		if ok {
-			if addr, isMem := b.memVars[key]; isMem {
-				b.emitAt(e, &Value{Op: OpStore, Args: []*Value{addr, v}})
-				return
-			}
-			b.writeVar(key, b.cur, v)
+		if l := b.resolveVar(e.Name); l != nil {
+			b.emitAt(e, &Value{Op: OpStore, Args: []*Value{l.slot, v}})
 			return
 		}
 		for _, g := range b.file.Vars {
@@ -798,7 +662,7 @@ func (b *builder) storeLvalue(e cc.Expr, v *Value) {
 		addr := b.memberAddr(e)
 		b.emitAt(e, &Value{Op: OpStore, Args: []*Value{addr, v}})
 	case *cc.Cast:
-		b.storeLvalue(e.X, v)
+		b.storeLvalue(e.X, b.coerce(v, e.To, e.X.ExprType()))
 	default:
 		b.failf(e.Position(), "ir: bad store target %T", e)
 	}
@@ -840,8 +704,6 @@ func (b *builder) condExpr(e *cc.Cond) *Value {
 	exitB := b.fn.NewBlock()
 	c := b.asBool(b.expr(e.C))
 	b.condBranch(c, thenB, elseB, e.Position(), macroOriginOf(e))
-	b.seal(thenB)
-	b.seal(elseB)
 	t := e.ExprType()
 
 	b.cur = thenB
@@ -855,7 +717,6 @@ func (b *builder) condExpr(e *cc.Cond) *Value {
 	y = b.coerce(y, e.Y.ExprType(), t)
 	b.branch(exitB, e.Position())
 
-	b.seal(exitB)
 	b.cur = exitB
 	w := 64
 	if t.IsScalar() {
@@ -1059,11 +920,9 @@ func (b *builder) shortCircuit(e *cc.Binary) *Value {
 	} else {
 		b.condBranch(x, exitB, rhsB, e.Position(), macroOriginOf(e))
 	}
-	b.seal(rhsB)
 	b.cur = rhsB
 	y := b.asBool(b.expr(e.Y))
 	b.branch(exitB, e.Position())
-	b.seal(exitB)
 	b.cur = exitB
 	phi := b.val(&Value{Op: OpPhi, Width: 1, Pos: e.Position(), Origin: macroOriginOf(e)})
 	short := int64(0)

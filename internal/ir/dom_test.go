@@ -27,9 +27,9 @@ func cfg(t *testing.T, n int, edges [][2]int) (*Func, []*Block) {
 	return f, blocks
 }
 
-func frontierIDs(df map[*Block][]*Block, b *Block) []int {
+func frontierIDs(df [][]*Block, b *Block) []int {
 	var ids []int
-	for _, w := range df[b] {
+	for _, w := range df[b.ID] {
 		ids = append(ids, w.ID)
 	}
 	sort.Ints(ids)
@@ -164,8 +164,10 @@ func TestDomLinear(t *testing.T) {
 	if d.IDom(b[2]) != b[1] || d.IDom(b[1]) != b[0] {
 		t.Error("chain idoms must follow the chain")
 	}
-	if df := d.DominanceFrontier(); len(df) != 0 {
-		t.Errorf("chain has no merge points, DF = %v", df)
+	for _, blk := range b {
+		if got := frontierIDs(d.DominanceFrontier(), blk); len(got) != 0 {
+			t.Errorf("chain has no merge points, DF(b%d) = %v", blk.ID, got)
+		}
 	}
 	rpo := ReversePostorder(f)
 	if len(rpo) != 3 || rpo[0] != b[0] || rpo[2] != b[2] {

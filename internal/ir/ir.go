@@ -2,10 +2,12 @@
 // STACK reproduction analyzes, standing in for LLVM IR in the original
 // system (paper §4.1/Fig. 7). A Func is a control-flow graph of basic
 // blocks holding instructions in SSA form; the builder (builder.go)
-// lowers type-checked C ASTs into this form, constructing SSA
-// on the fly. Dominator computation (dom.go), function inlining with
-// origin tracking (inline.go), and a concrete C* evaluator (exec.go)
-// complete the substrate.
+// lowers type-checked C ASTs into this form, giving every local a
+// stack slot and then promoting the slots whose address is never
+// taken with the pruned SSA construction of ssa.go. Dominator
+// computation (dom.go), function inlining with origin tracking
+// (inline.go), and a concrete C* evaluator (exec.go) complete the
+// substrate.
 package ir
 
 import (
@@ -295,6 +297,18 @@ func (f *Func) NewValueID() int { f.nextID++; return f.nextID }
 // numValueIDs returns one more than the largest value ID allocated so
 // far: the length of a slice indexed by Value.ID.
 func (f *Func) numValueIDs() int { return f.nextID + 1 }
+
+// renumber gives f's values the IDs 1 to n in block order, so that a
+// slice indexed by Value.ID is no longer than f has values. Every
+// value must be listed in a block.
+func (f *Func) renumber() {
+	f.nextID = 0
+	for _, b := range f.Blocks {
+		for v := range b.All() {
+			v.ID = f.NewValueID()
+		}
+	}
+}
 
 // NewBlock appends an empty block.
 func (f *Func) NewBlock() *Block {

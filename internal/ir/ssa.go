@@ -2,43 +2,51 @@ package ir
 
 // Pruned-SSA construction on top of the dominator tree: dominance
 // frontiers, phi placement restricted to blocks where the promoted
-// variable is live-in, and mem2reg promotion of non-escaping allocas.
+// variable is live-in, and the renaming walk of mem2reg. It is the one
+// place where variable phis are placed.
 //
-// The on-the-fly builder (builder.go) already produces SSA for scalar
-// locals, but address-taken scalars are demoted to memory: their
-// "alloca" is an OpUnknown value named "addrof.<var>" and every access
-// goes through explicit OpLoad/OpStore. The checker encodes each such
-// load as a distinct opaque solver variable, so structurally identical
-// computations downstream of two loads of the same variable never
-// share terms. PromoteAllocas rewrites those loads back into SSA
-// values, which is what lets the bv builder hash-cons whole-function
-// value graphs.
+// The builder (builder.go) gives every named local and parameter a
+// stack slot, as every local starts as an alloca in LLVM: an OpUnknown
+// value named "addrof.<var>" that reads load from and writes store to.
+// It then promotes the slots whose address the source never takes
+// (promoteLocals). A slot whose address is taken stays in memory, and
+// the checker encodes each load from it as a distinct opaque solver
+// variable, so structurally identical computations downstream of two
+// loads of the same variable never share terms. PromoteAllocas, the
+// first pass of RunSSAPasses, rewrites those slots whose address does
+// not escape, which is what lets the bv builder hash-cons whole-
+// function value graphs.
 //
-// Semantics are judged against the concrete C* evaluator (exec.go):
-// memory in C* is zero-initialized, so a load with no dominating store
-// reads 0, and promotion materializes that ⊥ value as const 0.
+// A load that no store reaches reads ⊥. Semantics are judged against
+// the concrete C* evaluator (exec.go), whose memory is
+// zero-initialized, so PromoteAllocas materializes ⊥ as const 0. The
+// builder materializes it as an opaque "uninit.<var>" value instead,
+// because the checker does not model uninitialized use (paper §4.6).
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
-// DominanceFrontier returns DF(b) for every block: the blocks w such
-// that b dominates a predecessor of w but not w itself (Cooper,
-// Harvey, Kennedy). Phi placement for a definition in b needs exactly
-// the iterated frontier of b.
-func (d *DomTree) DominanceFrontier() map[*Block][]*Block {
-	df := make(map[*Block][]*Block, len(d.rpo))
-	seen := make(map[[2]*Block]bool)
+// DominanceFrontier returns DF(b) for every block b, indexed by
+// Block.ID: the blocks w such that b dominates a predecessor of w but
+// not w itself (Cooper, Harvey, Kennedy). Phi placement for a
+// definition in b needs exactly the iterated frontier of b.
+func (d *DomTree) DominanceFrontier() [][]*Block {
+	df := make([][]*Block, len(d.fn.Blocks))
+	last := make([]int32, len(d.fn.Blocks)) // 1 + ID of the join last added to DF(runner)
 	for _, b := range d.rpo {
 		if len(b.Preds) < 2 {
 			continue
 		}
 		for _, p := range b.Preds {
-			if _, ok := d.idom[p]; !ok {
+			if d.idom[p] == nil {
 				continue // unreachable predecessor
 			}
 			for runner := p; runner != d.idom[b]; runner = d.idom[runner] {
-				if !seen[[2]*Block{runner, b}] {
-					seen[[2]*Block{runner, b}] = true
-					df[runner] = append(df[runner], b)
+				if last[runner.ID] != int32(b.ID+1) {
+					last[runner.ID] = int32(b.ID + 1)
+					df[runner.ID] = append(df[runner.ID], b)
 				}
 				if runner == d.idom[runner] {
 					break // entry
@@ -57,13 +65,14 @@ type SSAStats struct {
 	RemovedStores   int // stores deleted with their alloca
 }
 
-// allocaInfo is the per-alloca analysis state of PromoteAllocas.
+// allocaInfo is one slot to promote: its address, the width of the
+// values it holds, and the phis that always carry its address.
 type allocaInfo struct {
 	addr    *Value
 	width   int
-	loads   []*Value
-	stores  []*Value
-	aliases []*Value // phis that always carry this alloca's address
+	aliases []*Value
+
+	escaped bool // collectAllocas: the address is observable
 }
 
 // isAlloca reports whether v is a builder-emitted abstract stack slot.
@@ -74,57 +83,56 @@ func isAlloca(v *Value) bool {
 // PromoteAllocas performs mem2reg over f: every alloca whose address
 // is used only as the address operand of loads and stores (it never
 // escapes into a call, a store's value operand, pointer arithmetic, or
-// a comparison) is rewritten into SSA form — loads become the reaching
-// definition, phis are placed on the iterated dominance frontier of
-// the store blocks pruned to blocks where the variable is live-in, and
-// the loads, stores, and the alloca itself are deleted. dom must be
-// f's current dominator tree; the CFG itself (blocks and edges) is not
-// changed, so dom remains valid afterwards.
+// a comparison) is rewritten into SSA form, with ⊥ read as const 0.
+// dom must be f's current dominator tree; the CFG itself (blocks and
+// edges) is not changed, so dom remains valid afterwards.
 func PromoteAllocas(f *Func, dom *DomTree) SSAStats {
-	var stats SSAStats
-	cands := collectAllocas(f)
-	if len(cands) == 0 {
-		return stats
+	return promoteSlots(f, dom, collectAllocas(f), func(s *allocaInfo) *Value {
+		// No source position, so report anchoring (which skips
+		// position-less values) is unaffected.
+		return &Value{Op: OpConst, Width: s.width}
+	})
+}
+
+// promoteLocals promotes the builder's slots of scalar locals whose
+// address was never taken, with ⊥ read as an opaque uninit value.
+func promoteLocals(f *Func, slots []*allocaInfo) {
+	if len(slots) == 0 {
+		return
 	}
-	df := dom.DominanceFrontier()
-	children := domChildren(f, dom)
-	for _, info := range cands {
-		promoteOne(f, dom, df, children, info, &stats)
-	}
-	return stats
+	promoteSlots(f, ComputeDom(f), slots, func(s *allocaInfo) *Value {
+		return &Value{Op: OpUnknown, Width: s.width, AuxName: "uninit." + strings.TrimPrefix(s.addr.AuxName, "addrof.")}
+	})
 }
 
 // collectAllocas finds promotable allocas: address values used only as
 // Load/Store address operands, with one consistent access width.
 func collectAllocas(f *Func) []*allocaInfo {
-	infos := map[*Value]*allocaInfo{}
+	aliasOf := make([]*allocaInfo, f.numValueIDs())
+	var infos []*allocaInfo
 	for _, b := range f.Blocks {
 		for _, v := range b.Instrs {
 			if isAlloca(v) {
-				infos[v] = &allocaInfo{addr: v}
+				aliasOf[v.ID] = &allocaInfo{addr: v}
+				infos = append(infos, aliasOf[v.ID])
 			}
 		}
 	}
 	if len(infos) == 0 {
 		return nil
 	}
-	// The on-the-fly builder threads a pointer variable's value through
-	// block-boundary phis, so the address of a promotable alloca often
-	// reaches its loads via a chain of phis. A phi whose every argument
-	// (ignoring itself — loop-carried pointers self-reference) carries
-	// the same alloca's address is an alias of that address; the alias
-	// closure grows to a fixed point, pessimistically, so a phi mixing
-	// an alloca address with anything else never joins and instead
-	// escapes the alloca below.
-	aliasOf := map[*Value]*allocaInfo{}
-	for addr, info := range infos {
-		aliasOf[addr] = info
-	}
+	// The address of a slot can reach its loads through phis, when a
+	// pointer variable holding it is live across a join. A phi whose
+	// every argument (ignoring itself — loop-carried pointers
+	// self-reference) carries the same alloca's address is an alias of
+	// that address; the alias closure grows to a fixed point,
+	// pessimistically, so a phi mixing an alloca address with anything
+	// else never joins and instead escapes the alloca below.
 	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {
 			for _, v := range b.Instrs {
-				if v.Op != OpPhi || aliasOf[v] != nil {
+				if v.Op != OpPhi || aliasOf[v.ID] != nil {
 					continue
 				}
 				var target *allocaInfo
@@ -133,7 +141,7 @@ func collectAllocas(f *Func) []*allocaInfo {
 					if a == nil || a == v {
 						continue
 					}
-					ai := aliasOf[a]
+					ai := aliasOf[a.ID]
 					if ai == nil || (target != nil && target != ai) {
 						ok = false
 						break
@@ -141,27 +149,34 @@ func collectAllocas(f *Func) []*allocaInfo {
 					target = ai
 				}
 				if ok && target != nil {
-					aliasOf[v] = target
+					aliasOf[v.ID] = target
 					target.aliases = append(target.aliases, v)
 					changed = true
 				}
 			}
 		}
 	}
-	escaped := map[*Value]bool{}
+	// access records one load or store of width w through info.
+	access := func(info *allocaInfo, w int) {
+		if info.width == 0 {
+			info.width = w
+		} else if info.width != w {
+			info.escaped = true // mixed widths
+		}
+	}
 	for _, b := range f.Blocks {
 		for v := range b.All() {
 			for i, a := range v.Args {
-				info := aliasOf[a]
-				if info == nil {
+				if a == nil || aliasOf[a.ID] == nil {
 					continue
 				}
+				info := aliasOf[a.ID]
 				switch {
 				case v.Op == OpLoad && i == 0:
-					info.loads = append(info.loads, v)
+					access(info, v.Width)
 				case v.Op == OpStore && i == 0:
-					info.stores = append(info.stores, v)
-				case aliasOf[v] == info:
+					access(info, v.Args[1].Width)
+				case aliasOf[v.ID] == info:
 					// An alias phi consuming the address (or another
 					// alias of it); deleted with the alloca on commit.
 				default:
@@ -169,50 +184,17 @@ func collectAllocas(f *Func) []*allocaInfo {
 					// arithmetic, comparison, non-alias phi, ...: the
 					// address is observable, so memory stays
 					// authoritative.
-					escaped[info.addr] = true
+					info.escaped = true
 				}
 			}
 		}
 	}
-	var out []*allocaInfo
-	for _, info := range infos {
-		if escaped[info.addr] {
-			continue
-		}
-		w := 0
-		ok := true
-		for _, l := range info.loads {
-			if w == 0 {
-				w = l.Width
-			} else if l.Width != w {
-				ok = false
-			}
-		}
-		for _, s := range info.stores {
-			sw := s.Args[1].Width
-			if w == 0 {
-				w = sw
-			} else if sw != w {
-				ok = false
-			}
-		}
-		if !ok || w == 0 {
-			continue // mixed widths, or an alloca nothing touches
-		}
-		info.width = w
-		out = append(out, info)
-	}
-	// Deterministic processing order (map iteration above is not).
-	sortAllocas(out)
-	return out
-}
-
-func sortAllocas(infos []*allocaInfo) {
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && infos[j].addr.ID < infos[j-1].addr.ID; j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
+	// An alloca nothing touches (width 0) is left alone. Promotion
+	// runs in ID order, which numbers the values it creates the same
+	// in every build.
+	infos = slices.DeleteFunc(infos, func(info *allocaInfo) bool { return info.escaped || info.width == 0 })
+	slices.SortFunc(infos, func(a, b *allocaInfo) int { return a.addr.ID - b.addr.ID })
+	return infos
 }
 
 // domChildren returns the dominator tree's child lists, indexed by
@@ -240,250 +222,234 @@ func domChildren(f *Func, dom *DomTree) [][]*Block {
 	return children
 }
 
-// addrSet returns every value denoting this alloca's address: the
-// alloca itself plus its alias phis.
-func (info *allocaInfo) addrSet() map[*Value]bool {
-	s := make(map[*Value]bool, 1+len(info.aliases))
-	s[info.addr] = true
-	for _, a := range info.aliases {
-		s[a] = true
+// promoteSlots rewrites every slot of slots into SSA form. Each
+// slot's address (or an alias of it) must be used only as the address
+// operand of loads and stores, and every store must store a value of
+// the slot's width. For each slot, phis are placed on the iterated
+// dominance frontier of its store blocks, pruned to the blocks where
+// it is live-in; then one walk over the dominator tree renames the
+// loads of all slots to their reaching definitions, and one pass over
+// the blocks deletes the loads, the stores, the slots and their alias
+// phis. bottom makes the value a slot reads where no store reaches;
+// it is made at most once per slot and placed at the head of the
+// entry block, which dominates every use. The CFG is not changed.
+//
+// A load or phi that promotion replaces is unlinked from its block
+// (Block == nil) and left with its replacement as Args[0], so no
+// table the size of the function records replacements.
+func promoteSlots(f *Func, dom *DomTree, slots []*allocaInfo, bottom func(*allocaInfo) *Value) SSAStats {
+	var stats SSAStats
+	if len(slots) == 0 || f.Entry == nil {
+		return stats
 	}
-	return s
-}
-
-// liveIn computes the blocks where the alloca is live on entry: a path
-// from the block's start reaches a load with no store in between. Phi
-// placement is pruned to this set.
-func liveIn(info *allocaInfo, isAddr map[*Value]bool) map[*Block]bool {
-	hasStore := map[*Block]bool{}
-	for _, s := range info.stores {
-		hasStore[s.Block] = true
-	}
-	// Upward-exposed loads: a load not preceded by a store in its own
-	// block.
-	live := map[*Block]bool{}
-	var wl []*Block
-	for _, l := range info.loads {
-		b := l.Block
-		exposed := true
-		for _, v := range b.Instrs {
-			if v == l {
-				break
-			}
-			if v.Op == OpStore && isAddr[v.Args[0]] {
-				exposed = false
-				break
-			}
-		}
-		if exposed && !live[b] {
-			live[b] = true
-			wl = append(wl, b)
+	// slotOf maps the ID of a slot's address, or of an alias of it, to
+	// one more than the slot's index. It covers the values that exist
+	// now, which are all the loads, stores and addresses there are.
+	n := f.numValueIDs()
+	slotOf := make([]int32, n)
+	for i, s := range slots {
+		slotOf[s.addr.ID] = int32(i + 1)
+		for _, a := range s.aliases {
+			slotOf[a.ID] = int32(i + 1)
 		}
 	}
-	for len(wl) > 0 {
-		b := wl[len(wl)-1]
-		wl = wl[:len(wl)-1]
-		for _, p := range b.Preds {
-			if !hasStore[p] && !live[p] {
-				live[p] = true
-				wl = append(wl, p)
-			}
+	// slotAt returns the index of the slot v loads or stores, or -1.
+	slotAt := func(v *Value) int {
+		if (v.Op == OpLoad || v.Op == OpStore) && v.Block != nil && v.ID < n {
+			return int(slotOf[v.Args[0].ID]) - 1
 		}
+		return -1
 	}
-	return live
-}
-
-// promoteOne rewrites a single alloca into SSA form.
-func promoteOne(f *Func, dom *DomTree, df map[*Block][]*Block, children [][]*Block, info *allocaInfo, stats *SSAStats) {
-	isAddr := info.addrSet()
-	live := liveIn(info, isAddr)
-
-	// Pruned phi placement: iterated dominance frontier of the store
-	// blocks, restricted to live-in blocks.
-	phiAt := map[*Block]*Value{}
-	isDef := map[*Block]bool{}
-	var wl []*Block
-	for _, s := range info.stores {
-		if !isDef[s.Block] {
-			isDef[s.Block] = true
-			wl = append(wl, s.Block)
-		}
-	}
-	for len(wl) > 0 {
-		b := wl[len(wl)-1]
-		wl = wl[:len(wl)-1]
-		for _, w := range df[b] {
-			if phiAt[w] != nil || !live[w] {
-				continue
-			}
-			phi := &Value{
-				ID:    f.NewValueID(),
-				Op:    OpPhi,
-				Width: info.width,
-				Args:  make([]*Value, len(w.Preds)),
-				Block: w,
-			}
-			phiAt[w] = phi
-			if !isDef[w] {
-				isDef[w] = true
-				wl = append(wl, w)
-			}
-		}
-	}
-
-	// Rename walk over the dominator tree. nil means ⊥ (no store on
-	// any path yet); C* memory is zero-initialized, so ⊥ reads as 0.
-	replacement := map[*Value]*Value{} // load -> reaching definition
 	resolve := func(v *Value) *Value {
-		for {
-			r, ok := replacement[v]
-			if !ok {
-				return v
+		for v != nil && v.Block == nil {
+			v = v.Args[0]
+		}
+		return v
+	}
+
+	// One scan lists each slot's store blocks (defs) and the blocks
+	// where a load of it is not preceded by a store in the same block
+	// (uses), each pair once; sorting groups the lists by slot.
+	type slotBlock struct {
+		slot int
+		b    *Block
+	}
+	k := len(slots)
+	defs, uses := make([]slotBlock, 0, k), make([]slotBlock, 0, k)
+	lastDef := make([]int32, 2*k) // 1 + ID of the block last listed, per slot
+	lastUse := lastDef[k:]
+	for _, b := range f.Blocks {
+		mark := int32(b.ID + 1)
+		for _, v := range b.Instrs {
+			switch s := slotAt(v); {
+			case s < 0:
+			case v.Op == OpStore:
+				if lastDef[s] != mark {
+					lastDef[s] = mark
+					defs = append(defs, slotBlock{s, b})
+				}
+			case lastDef[s] != mark && lastUse[s] != mark:
+				lastUse[s] = mark
+				uses = append(uses, slotBlock{s, b})
 			}
-			v = r
 		}
 	}
-	var undef *Value // lazily materialized const 0 in the entry block
-	materializeUndef := func() *Value {
-		if undef == nil {
-			undef = &Value{
-				ID:    f.NewValueID(),
-				Op:    OpConst,
-				Width: info.width,
-				Aux:   0,
-				Block: f.Entry,
-			}
-			// Prepend: the entry has no phis and dominates every use.
-			// No source position, so report anchoring (which skips
-			// position-less values) is unaffected.
-			f.Entry.Instrs = append([]*Value{undef}, f.Entry.Instrs...)
+	bySlot := func(x, y slotBlock) int { return x.slot - y.slot }
+	slices.SortStableFunc(defs, bySlot)
+	slices.SortStableFunc(uses, bySlot)
+	// take removes the leading pairs of slot s from *l and returns them.
+	take := func(l *[]slotBlock, s int) []slotBlock {
+		i := 0
+		for i < len(*l) && (*l)[i].slot == s {
+			i++
 		}
-		return undef
+		out := (*l)[:i]
+		*l = (*l)[i:]
+		return out
 	}
-	var walk func(b *Block, cur *Value)
-	walk = func(b *Block, cur *Value) {
-		if phi := phiAt[b]; phi != nil {
-			cur = phi
+
+	// Phi placement, one slot at a time. The per-block marks hold
+	// 1 + the index of the slot they were last set for, so no slot
+	// clears them for the next.
+	df := dom.DominanceFrontier()
+	nb := len(f.Blocks)
+	marks := make([]int32, 4*nb)
+	stored := marks[:nb]         // the block stores to the slot
+	live := marks[nb : 2*nb]     // the slot is live on entry to the block
+	queued := marks[2*nb : 3*nb] // the block defines the slot: a store or a phi
+	hasPhi := marks[3*nb:]       // a phi for the slot was placed in the block
+	phiAt := make([][]*Value, nb)
+	var phiSlot []int32 // by phi ID - n: the slot the phi merges
+	var phis []*Value
+	var wl []*Block
+	for s, info := range slots {
+		stamp := int32(s + 1)
+		sDefs := take(&defs, s)
+		for _, d := range sDefs {
+			stored[d.b.ID] = stamp
+		}
+		// Live-in blocks: a path from the block's start reaches a
+		// load with no store in between.
+		for _, u := range take(&uses, s) {
+			live[u.b.ID] = stamp
+			wl = append(wl, u.b)
+		}
+		for len(wl) > 0 {
+			b := wl[len(wl)-1]
+			wl = wl[:len(wl)-1]
+			for _, p := range b.Preds {
+				if stored[p.ID] != stamp && live[p.ID] != stamp {
+					live[p.ID] = stamp
+					wl = append(wl, p)
+				}
+			}
+		}
+		// Pruned placement: the iterated dominance frontier of the
+		// store blocks, restricted to live-in blocks.
+		for _, d := range sDefs {
+			queued[d.b.ID] = stamp
+			wl = append(wl, d.b)
+		}
+		for len(wl) > 0 {
+			b := wl[len(wl)-1]
+			wl = wl[:len(wl)-1]
+			for _, w := range df[b.ID] {
+				if live[w.ID] != stamp || hasPhi[w.ID] == stamp {
+					continue
+				}
+				hasPhi[w.ID] = stamp
+				phi := &Value{ID: f.NewValueID(), Op: OpPhi, Width: info.width, Args: make([]*Value, len(w.Preds)), Block: w}
+				phiAt[w.ID] = append(phiAt[w.ID], phi)
+				phiSlot = append(phiSlot, int32(s))
+				phis = append(phis, phi)
+				if queued[w.ID] != stamp {
+					queued[w.ID] = stamp
+					wl = append(wl, w)
+				}
+			}
+		}
+	}
+	stats.PromotedAllocas = k
+	stats.PlacedPhis = len(phis)
+
+	// The renaming walk. cur holds each slot's reaching definition,
+	// nil for ⊥; leaving a block restores it from the undo log.
+	bottoms := make([]*Value, 2*k)
+	cur := bottoms[k:]
+	reaching := func(s int) *Value {
+		if cur[s] != nil {
+			return cur[s]
+		}
+		if bottoms[s] == nil {
+			v := bottom(slots[s])
+			v.ID, v.Block = f.NewValueID(), f.Entry
+			// The entry has no phis and dominates every use.
+			f.Entry.Instrs = append([]*Value{v}, f.Entry.Instrs...)
+			bottoms[s] = v
+		}
+		return bottoms[s]
+	}
+	type undo struct {
+		slot int32
+		def  *Value
+	}
+	var log []undo
+	set := func(s int, v *Value) {
+		log = append(log, undo{int32(s), cur[s]})
+		cur[s] = v
+	}
+	children := domChildren(f, dom)
+	var walk func(b *Block)
+	walk = func(b *Block) {
+		mark := len(log)
+		for _, phi := range phiAt[b.ID] {
+			set(int(phiSlot[phi.ID-n]), phi)
 		}
 		for _, v := range b.Instrs {
-			switch {
-			case v.Op == OpLoad && isAddr[v.Args[0]]:
-				def := cur
-				if def == nil {
-					def = materializeUndef()
-				}
-				replacement[v] = def
-			case v.Op == OpStore && isAddr[v.Args[0]]:
-				cur = resolve(v.Args[1])
+			switch s := slotAt(v); {
+			case s < 0:
+			case v.Op == OpLoad:
+				v.Args[0], v.Block = reaching(s), nil
+				stats.RemovedLoads++
+			default:
+				set(s, resolve(v.Args[1]))
 			}
 		}
-		for _, s := range b.Succs {
-			phi := phiAt[s]
-			if phi == nil {
-				continue
-			}
-			def := cur
-			if def == nil {
-				def = materializeUndef()
-			}
-			for i, p := range s.Preds {
-				if p == b {
-					phi.Args[i] = def
+		for _, succ := range b.Succs {
+			for _, phi := range phiAt[succ.ID] {
+				def := reaching(int(phiSlot[phi.ID-n]))
+				for i, p := range succ.Preds {
+					if p == b {
+						phi.Args[i] = def
+					}
 				}
 			}
 		}
 		for _, c := range children[b.ID] {
-			walk(c, cur)
+			walk(c)
+		}
+		for len(log) > mark {
+			u := log[len(log)-1]
+			log = log[:len(log)-1]
+			cur[u.slot] = u.def
 		}
 	}
-	if f.Entry != nil {
-		walk(f.Entry, nil)
-	}
+	walk(f.Entry)
 
-	// Insert the phis (kept out of the instruction stream during the
-	// walk so the load/store scan above sees the original block
-	// layout). Phis go at the head of the block's phi group.
-	for b, phi := range phiAt {
-		b.Instrs = append([]*Value{phi}, b.Instrs...)
-	}
-
-	// Commit: rewrite every use of a promoted load, then delete the
-	// loads, stores, the alloca, and its alias phis (whose only uses
-	// are those loads, stores, and each other).
-	dead := map[*Value]bool{}
-	for a := range isAddr {
-		dead[a] = true
-	}
-	for _, l := range info.loads {
-		dead[l] = true
-	}
-	for _, s := range info.stores {
-		dead[s] = true
-	}
-	for _, b := range f.Blocks {
-		for v := range b.All() {
-			if dead[v] {
-				continue
-			}
-			for i, a := range v.Args {
-				v.Args[i] = resolve(a)
-			}
-		}
-	}
-	for _, phi := range phiAt {
-		for i, a := range phi.Args {
-			if a != nil {
-				phi.Args[i] = resolve(a)
-			}
-		}
-	}
-	for _, b := range f.Blocks {
-		kept := b.Instrs[:0]
-		for _, v := range b.Instrs {
-			if !dead[v] {
-				kept = append(kept, v)
-			}
-		}
-		b.Instrs = kept
-	}
-
-	removeTrivialPromotedPhis(f, phiAt)
-
-	stats.PromotedAllocas++
-	stats.PlacedPhis += len(phiAt)
-	stats.RemovedLoads += len(info.loads)
-	stats.RemovedStores += len(info.stores)
-}
-
-// removeTrivialPromotedPhis deletes phis from phiAt whose operands are
-// all the same value (or the phi itself), redirecting their uses, and
-// iterates to a fixed point: removing one trivial phi can make
-// another one trivial.
-func removeTrivialPromotedPhis(f *Func, phiAt map[*Block]*Value) {
-	redirect := map[*Value]*Value{}
-	resolve := func(v *Value) *Value {
-		for {
-			r, ok := redirect[v]
-			if !ok {
-				return v
-			}
-			v = r
-		}
-	}
+	// A phi whose operands are all one value (or the phi itself) is
+	// replaced by that value, to a fixed point: removing one trivial
+	// phi can make another one trivial.
 	for changed := true; changed; {
 		changed = false
-		for b, phi := range phiAt {
-			if phi == nil {
+		for _, phi := range phis {
+			if phi.Block == nil {
 				continue
 			}
 			var same *Value
 			trivial := true
 			for _, a := range phi.Args {
-				if a == nil {
-					continue
-				}
 				a = resolve(a)
-				if a == phi || a == same {
+				if a == nil || a == phi || a == same {
 					continue
 				}
 				if same != nil {
@@ -492,38 +458,49 @@ func removeTrivialPromotedPhis(f *Func, phiAt map[*Block]*Value) {
 				}
 				same = a
 			}
-			if !trivial || same == nil {
-				continue
+			if trivial && same != nil {
+				phi.Args, phi.Block = phi.Args[:1], nil
+				phi.Args[0] = same
+				changed = true
 			}
-			redirect[phi] = same
-			phiAt[b] = nil
-			changed = true
 		}
 	}
-	if len(redirect) == 0 {
-		return
-	}
-	deadPhi := map[*Value]bool{}
-	for phi := range redirect {
-		deadPhi[phi] = true
-	}
+
+	// Commit: place the remaining phis at the head of their blocks,
+	// delete the loads, stores, slots and alias phis, and rewrite
+	// every operand to what replaces it.
 	for _, b := range f.Blocks {
-		for v := range b.All() {
-			if deadPhi[v] {
-				continue
-			}
-			for i, a := range v.Args {
-				if a != nil {
-					v.Args[i] = resolve(a)
+		kept := b.Instrs[:0]
+		if len(phiAt[b.ID]) > 0 {
+			kept = make([]*Value, 0, len(phiAt[b.ID])+len(b.Instrs))
+			for _, phi := range phiAt[b.ID] {
+				if phi.Block != nil {
+					kept = append(kept, phi)
 				}
 			}
 		}
-		kept := b.Instrs[:0]
 		for _, v := range b.Instrs {
-			if !deadPhi[v] {
-				kept = append(kept, v)
+			switch {
+			case v.Block == nil:
+				continue // a replaced load
+			case slotAt(v) >= 0:
+				if v.Op == OpStore {
+					stats.RemovedStores++
+				} else {
+					stats.RemovedLoads++ // in a block the walk did not reach
+				}
+				continue
+			case v.ID < n && slotOf[v.ID] != 0:
+				continue // a slot or an alias of one
 			}
+			kept = append(kept, v)
 		}
 		b.Instrs = kept
+		for v := range b.All() {
+			for i, a := range v.Args {
+				v.Args[i] = resolve(a)
+			}
+		}
 	}
+	return stats
 }

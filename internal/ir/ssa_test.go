@@ -199,3 +199,54 @@ int f(int a, int b) {
 		t.Errorf("PromotedAllocas = %d, want 2", stats.PromotedAllocas)
 	}
 }
+
+// TestAddressTakenLocalKeepsItsValue runs the shapes where a local's
+// address is taken after a join, or inside a loop, with no store of
+// its current value in the block that takes it. A local whose address
+// is taken stays in memory from its declaration on, so every path has
+// stored its value before the address is read through.
+func TestAddressTakenLocalKeepsItsValue(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		rows      [][]uint64 // arguments, then the wanted result
+	}{
+		{"after a branch", `
+int f(int n) {
+	int x = 5;
+	int *p;
+	if (n)
+		x = 9;
+	p = &x;
+	return *p;
+}`, [][]uint64{{0, 5}, {1, 9}, {7, 9}}},
+		{"in a loop", `
+int f(int n) {
+	int x = 0;
+	int *p;
+	while (n > 0) {
+		x = x + 1;
+		p = &x;
+		n = n - 1;
+	}
+	return x;
+}`, [][]uint64{{0, 0}, {1, 1}, {4, 4}}},
+		{"a parameter", `
+int f(int x, int c) {
+	int *p;
+	if (c)
+		c = c + 1;
+	p = &x;
+	return *p;
+}`, [][]uint64{{3, 0, 3}, {3, 1, 3}, {42, 7, 42}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := fn(t, build(t, tc.src), "f")
+			for _, row := range tc.rows {
+				args, want := row[:len(row)-1], row[len(row)-1]
+				if r := run(t, f, args, ExecOptions{}); r.Ret != want {
+					t.Errorf("f%v = %d, want %d\n%s", args, r.Ret, want, f)
+				}
+			}
+		})
+	}
+}

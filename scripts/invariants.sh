@@ -48,6 +48,16 @@
 #      every CLI shares). An option no command can set is surface
 #      nothing ships, kept alive only by its own tests.
 #
+#   7. One SSA construction. Variable phis are placed in one place:
+#      the promotion of internal/ir/ssa.go, which ir.Build runs on the
+#      slots of its locals and RunSSAPasses runs again as mem2reg.
+#      Outside ssa.go, a non-test Go file under internal/ir may
+#      construct an OpPhi only where what it merges is no variable:
+#      builder.go at exactly two sites (the ?: merge and the
+#      short-circuit merge) and inline.go at one (the merge of an
+#      inlined call's returns). A third phi site in the builder is a
+#      second SSA construction.
+#
 # Usage:
 #   scripts/invariants.sh              # check the repository
 #   scripts/invariants.sh --self-test  # prove the checks can fail
@@ -250,6 +260,43 @@ check_shipped_options() {
 	done <<<"$opts"
 	[ "$bad" -eq 0 ] || return 1
 	echo "invariants: ok: every stack.With* option is shipped"
+}
+
+# PHI_SITE matches a line that constructs an OpPhi: a composite
+# literal field or an assignment to a value's Op.
+PHI_SITE='(Op:[[:space:]]*OpPhi|\.Op[[:space:]]*=[[:space:]]*OpPhi)([^[:alnum:]_]|$)'
+
+# check_one_ssa_construction DIR — the non-test Go files under
+# DIR/internal/ir that construct an OpPhi are ssa.go (at least once),
+# builder.go (on exactly two lines) and inline.go (on one).
+check_one_ssa_construction() {
+	local dir="$1/internal/ir" bad=0 f n want
+	if [ ! -f "$dir/ssa.go" ] || [ ! -f "$dir/builder.go" ]; then
+		echo "invariants: FAIL: missing $dir/ssa.go or $dir/builder.go" >&2
+		return 1
+	fi
+	while IFS= read -r f; do
+		n="$(grep -cE "$PHI_SITE" "$f" || true)"
+		case "$f" in
+		"$dir/ssa.go")
+			if [ "$n" -eq 0 ]; then
+				echo "invariants: FAIL: $f places no phis (one SSA construction)" >&2
+				bad=1
+			fi
+			continue
+			;;
+		"$dir/builder.go") want=2 ;;
+		"$dir/inline.go") want=1 ;;
+		*) want=0 ;;
+		esac
+		if [ "$n" -ne "$want" ]; then
+			echo "invariants: FAIL: $f constructs OpPhi on $n line(s), want $want; variable phis are placed only in ssa.go (one SSA construction)" >&2
+			grep -nE "$PHI_SITE" "$f" >&2 || true
+			bad=1
+		fi
+	done < <(go_sources "$dir")
+	[ "$bad" -eq 0 ] || return 1
+	echo "invariants: ok: one SSA construction"
 }
 
 self_test() {
@@ -479,10 +526,65 @@ self_test() {
 		pass=1
 	fi
 
+	# The builder's two expression merges, inlining's return merge and
+	# the promotion's phis pass; a third phi site in the builder, or
+	# one in any other file, must fail.
+	mkdir -p "$tmp/i/internal/ir"
+	cat >"$tmp/i/internal/ir/builder.go" <<-'EOF'
+		package ir
+
+		func (b *builder) condExpr() *Value { return b.val(&Value{Op: OpPhi, Width: 32}) }
+
+		func (b *builder) shortCircuit() *Value { return b.val(&Value{Op: OpPhi, Width: 1}) }
+	EOF
+	cat >"$tmp/i/internal/ir/inline.go" <<-'EOF'
+		package ir
+
+		func merge(f *Func) *Value { return &Value{ID: f.NewValueID(), Op: OpPhi} }
+	EOF
+	cat >"$tmp/i/internal/ir/ssa.go" <<-'EOF'
+		package ir
+
+		func place(f *Func, w *Block) *Value {
+			if w.Term.Op == OpPhi {
+				return nil
+			}
+			return &Value{ID: f.NewValueID(), Op: OpPhi, Block: w}
+		}
+	EOF
+	if ! check_one_ssa_construction "$tmp/i" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: the canonical phi sites rejected" >&2
+		pass=1
+	fi
+	cat >>"$tmp/i/internal/ir/builder.go" <<-'EOF'
+
+		func (b *builder) readVar(blk *Block) *Value {
+			phi := b.valIn(blk, &Value{})
+			phi.Op = OpPhi
+			return phi
+		}
+	EOF
+	if check_one_ssa_construction "$tmp/i" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: a third phi site in the builder not detected" >&2
+		pass=1
+	fi
+	mkdir -p "$tmp/j/internal/ir"
+	cp "$tmp/i/internal/ir/inline.go" "$tmp/i/internal/ir/ssa.go" "$tmp/j/internal/ir/"
+	sed -n '1,5p' "$tmp/i/internal/ir/builder.go" >"$tmp/j/internal/ir/builder.go"
+	cat >"$tmp/j/internal/ir/braun.go" <<-'EOF'
+		package ir
+
+		func newPhi(blk *Block) *Value { return &Value{Op:OpPhi, Block: blk} }
+	EOF
+	if check_one_ssa_construction "$tmp/j" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: a phi site outside ssa.go, builder.go and inline.go not detected" >&2
+		pass=1
+	fi
+
 	if [ "$pass" -ne 0 ]; then
 		return 1
 	fi
-	echo "invariants: self-test ok (14 cases)"
+	echo "invariants: self-test ok (17 cases)"
 }
 
 if [ "${1:-}" = "--self-test" ]; then
@@ -496,3 +598,4 @@ check_fingerprint "$ROOT/internal/core/checker.go" "$ROOT/stack/cachekey.go"
 check_ssa_passes "$ROOT/internal/ir/analysis.go" "$ROOT/internal/core/stats.go" "$ROOT/internal"
 check_one_pipeline "$ROOT"
 check_shipped_options "$ROOT"
+check_one_ssa_construction "$ROOT"

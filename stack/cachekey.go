@@ -30,12 +30,15 @@ import (
 	"repro/stack/cache"
 )
 
-// entrySchemaVersion versions the JSON payload encoding of cached
-// entries. It is part of the cache key, so a codec change cleanly
-// misses every entry written by older code — in the memory tier as
-// well as on disk (the disk tier additionally versions its container
-// format; see cache.DiskSchemaVersion).
-const entrySchemaVersion = 2
+// entrySchemaVersion versions cached entries: the JSON encoding of
+// their payload, and what the checker reports for a given source. It
+// is part of the cache key, so bumping it cleanly misses every entry
+// written by older code — in the memory tier as well as on disk (the
+// disk tier additionally versions its container format; see
+// cache.DiskSchemaVersion). Bump it when the codec changes, and when
+// a change to the checker changes what it reports for some source, so
+// that no cache serves the reports of the older checker.
+const entrySchemaVersion = 3
 
 // optionsFingerprint renders every result-affecting checker option in
 // a canonical, versioned form. Each core.Options and core.Flags field
