@@ -34,8 +34,9 @@ vulncheck:
 
 # Structural invariants (one emitter; append-only diagnostic codes;
 # complete cache fingerprint; accounted SSA passes; one per-file
-# pipeline; no unshipped options; one SSA construction), plus the
-# script's own self-test proving the checks can fail.
+# pipeline; no unshipped options; one SSA construction; one streamed
+# frontend), plus the script's own self-test proving the checks can
+# fail.
 invariants:
 	./scripts/invariants.sh
 	./scripts/invariants.sh --self-test
@@ -111,9 +112,12 @@ bench:
 # a second exactly as a new solver does.
 # FuzzPreprocessMatchesReference checks the single-buffer macro expander
 # against the copy-per-step reference expander: tokens, errors and
-# budget charges. FuzzFoldMatchesExec checks the IR constant folder that
-# SCCP and the Fig. 4 optimizer share against the concrete evaluator,
-# per operation at widths 1 to 64. The next four are the SSA differential oracles: end-to-end byte identity of checker output
+# budget charges. FuzzStreamedParseMatchesCollected checks the streamed
+# Parse, which pulls tokens through the preprocessor from the lexer,
+# against lexing the whole file, preprocessing it and parsing the
+# result: the same file or the same error. FuzzFoldMatchesExec checks
+# the IR constant folder that SCCP and the Fig. 4 optimizer share
+# against the concrete evaluator, per operation at widths 1 to 64. The next four are the SSA differential oracles: end-to-end byte identity of checker output
 # keyed on SSASharpened, plus per-pass execution equivalence for SCCP,
 # loop-invariant UB hoisting, and cross-block GVN. The last,
 # FuzzBuildPromotionDifferential, checks SSA construction: ir.Build,
@@ -124,6 +128,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzPreprocessMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzStreamedParseMatchesCollected$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bv -run '^$$' -fuzz '^FuzzTermConstruction$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bv -run '^$$' -fuzz '^FuzzEvalMatchesBlast$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolveAssuming$$' -fuzztime $(FUZZTIME)

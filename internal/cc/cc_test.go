@@ -3,6 +3,7 @@ package cc
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -709,5 +710,60 @@ int f(int c) { return c; }
 `)
 	if f.Lookup("f") == nil {
 		t.Fatal("missing")
+	}
+}
+
+// TestParseHoldsNoWholeFileArray: Parse holds tokens in proportion to
+// the largest single expansion, not to the file. A file of over 100,000
+// tokens parses with a window and a preprocessor lookahead no larger
+// than twice that expansion (append doubles a buffer it grows) plus a
+// few tokens. The 4,000,024-byte file of 2M nested parentheses is
+// rejected at the parser's depth bound with its usual error, and
+// allocates under 64 MB on the way; whole-file token arrays of it
+// allocated over 1 GB.
+func TestParseHoldsNoWholeFileArray(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(strings.Split(mixChain(1), "unsigned f(")[0])
+	b.WriteString("unsigned f0(unsigned h, unsigned y) { return MIX5(h, y); }\n")
+	b.WriteString("#define ADD(a, b) ((a) + (b))\n")
+	for i := 1; i < 4000; i++ {
+		fmt.Fprintf(&b, "int f%d(int x, int y) {\n\tint z = ADD(x, y * %d);\n\tif (z < x) return -1;\n\treturn z;\n}\n", i, i)
+	}
+	src := b.String()
+	toks, err := Tokenize("big.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest, err := largestStep(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, win, ahead, err := parseWindow("big.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) < 100000 || len(file.Funcs) != 4000 {
+		t.Fatalf("%d tokens and %d functions, want over 100,000 and 4,000", len(toks), len(file.Funcs))
+	}
+	const slack = 8
+	if win > 2*largest+slack || ahead > 2*largest+slack {
+		t.Fatalf("window capacity %d and lookahead capacity %d for %d tokens, largest expansion %d",
+			win, ahead, len(toks), largest)
+	}
+
+	const depth = 2000000
+	deep := "int f(int x){return " + strings.Repeat("(", depth) + "x" + strings.Repeat(")", depth) + ";}\n"
+	if len(deep) != 4000024 {
+		t.Fatalf("source is %d bytes", len(deep))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Parse("", deep)
+	runtime.ReadMemStats(&after)
+	if want := fmt.Sprintf("1:1020: nesting deeper than %d", maxParseDepth); err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Fatalf("rejecting %d bytes allocated %d MB", len(deep), alloc>>20)
 	}
 }

@@ -10,6 +10,7 @@ package cc
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -160,5 +161,52 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		_ = Check(file)
+	})
+}
+
+// streamSeeds are inputs where streaming could change what Parse
+// returns: an error found before a higher-ranked one later in the
+// file, a macro body or argument list that outlives the source line it
+// was read from, and a definition continued over several lines.
+var streamSeeds = []string{
+	// A lexer error after a parse error.
+	"int f( { }\nint g;\n@\n",
+	// A preprocessing error after a parse error.
+	"int x = ;\nint y;\n#frobnicate\n",
+	// A lexer error after a preprocessing error.
+	"#else\nint x;\n\"unterminated\n",
+	// A #define whose body outlives its line, and the longer and
+	// shorter lines after it.
+	"#define SUM 1 + 2 + 3 + 4 + 5 + 6\n#define N 7\nint a = SUM + N;\n#define M (N * 3 + SUM)\nint b = M + SUM;\n#undef N\nint c = M;\n",
+	// A function-like invocation whose arguments span a directive line.
+	"#define DROP(a) 0\n#define F(a, b) a b\nint x = DROP(\n#define G 2\n);\nint y = G;\nint z = F(1,\n#ifdef Q\n);\n",
+	// An invocation with parentheses nested in its arguments.
+	"#define F(a, b) a * b\nint x = F((1 + 2), ((3)));\n",
+	// A continued #define.
+	"#define ADD(a, b) \\\n  ((a) + \\\n   (b))\nint f(int x) { return ADD(x,\n 1); }\n",
+	// A function-like name without '(' next, then a directive.
+	"#define F(x) x\nint F\n#define Y 1\n;\nint z = Y;\n",
+}
+
+// FuzzStreamedParseMatchesCollected: Parse, which pulls tokens through
+// the preprocessor from the lexer, returns the same file or the same
+// error text as lexing the whole file, then preprocessing it, then
+// parsing the result.
+func FuzzStreamedParseMatchesCollected(f *testing.F) {
+	for _, s := range slices.Concat(fuzzSeeds, depthSeeds, streamSeeds) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > maxFuzzInput {
+			t.Skip("oversized input")
+		}
+		got, err := Parse("fuzz.c", src)
+		want, wantErr := collectedParse("fuzz.c", src)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("error %v, collected %v", err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("streamed and collected parses differ")
+		}
 	})
 }

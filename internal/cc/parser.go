@@ -5,15 +5,58 @@ import (
 	"strings"
 )
 
-// Parser is a recursive-descent parser over preprocessed tokens.
+// Parser is a recursive-descent parser that pulls preprocessed tokens
+// through a window. It looks at most one token past the current one
+// (la(1)) and never backtracks, so the window holds the current token,
+// its lookahead and the rest of the last step of the stream it reads.
+// For Parse that step is the expansion of one source token, so the
+// window grows in proportion to the largest single expansion in the
+// file, never to the file. When the window runs out the parser steps
+// the stream again. A parse error does not end the run at once: the
+// stream's finish reads the rest of the file for a lexer or
+// preprocessing error, which outranks it.
 type Parser struct {
-	toks     []Token
+	src      tokenStream
+	win      []Token // win[pos] is the current token
 	pos      int
 	depth    int // nesting of the construct being parsed; see maxParseDepth
 	typedefs map[string]*Type
 	structs  map[string]*Type
 	file     *File
 }
+
+// tokenStream is what a parser reads: each step appends zero or more
+// tokens to dst, and once the stream has ended, its EOF.
+type tokenStream interface {
+	step(dst []Token) []Token
+	// finish returns the error of the parse, given parseErr, the
+	// parser's own error or nil.
+	finish(parseErr error) error
+}
+
+// tokenSlice streams tokens preprocessed before, for ParseTokens.
+type tokenSlice struct {
+	toks []Token
+	i    int
+}
+
+// tokenSliceChunk is how many tokens a tokenSlice step hands out.
+const tokenSliceChunk = 256
+
+func (s *tokenSlice) step(dst []Token) []Token {
+	if s.i < len(s.toks) {
+		n := min(len(s.toks)-s.i, tokenSliceChunk)
+		s.i += n
+		return append(dst, s.toks[s.i-n:s.i]...)
+	}
+	// Past the end, repeat the final EOF, or end a stream that has none.
+	if n := len(s.toks); n > 0 && s.toks[n-1].Kind == TokEOF {
+		return append(dst, s.toks[n-1])
+	}
+	return append(dst, Token{Kind: TokEOF})
+}
+
+func (s *tokenSlice) finish(parseErr error) error { return parseErr }
 
 // maxParseDepth bounds the nesting the parser accepts. Each recursive
 // descent counts one level: a statement, a parenthesis, a call's
@@ -44,27 +87,37 @@ func (p *Parser) tooDeep() error {
 	return errf(p.cur().Pos, "nesting deeper than %d", maxParseDepth)
 }
 
-// Parse preprocesses and parses one translation unit.
+// Parse preprocesses and parses one translation unit. The parser pulls
+// from the preprocessor, which pulls from the lexer, so no array as long
+// as the file is built. The error is the one that lexing the whole
+// file, then preprocessing it, then parsing the result would give: a
+// lexer error anywhere wins, then the first preprocessing error, then
+// the parse error.
 func Parse(filename, src string) (*File, error) {
 	pp := NewPreprocessor()
-	toks, err := pp.Preprocess(filename, src)
-	if err != nil {
-		return nil, err
-	}
-	return ParseTokens(filename, toks)
+	return newParser(filename, pp.stream(NewLexer(src), pp.expandSource)).parse()
 }
 
 // ParseTokens parses preprocessed tokens into a File; an error names
 // filename.
 func ParseTokens(filename string, toks []Token) (*File, error) {
-	p := &Parser{
-		toks:     toks,
+	return newParser(filename, &tokenSlice{toks: toks}).parse()
+}
+
+// newParser returns a parser reading src.
+func newParser(filename string, src tokenStream) *Parser {
+	return &Parser{
+		src:      src,
 		typedefs: builtinTypedefs(),
 		structs:  make(map[string]*Type),
 		file:     &File{Name: filename},
 	}
-	if err := p.parseFile(); err != nil {
-		return nil, inFile(err, filename)
+}
+
+// parse parses the file and returns it, or the ranked error.
+func (p *Parser) parse() (*File, error) {
+	if err := p.src.finish(p.parseFile()); err != nil {
+		return nil, inFile(err, p.file.Name)
 	}
 	return p.file, nil
 }
@@ -85,14 +138,31 @@ func builtinTypedefs() map[string]*Type {
 
 // --- token helpers ---------------------------------------------------------
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
-func (p *Parser) la(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+func (p *Parser) cur() Token {
+	if p.pos == len(p.win) {
+		p.fill(0)
 	}
-	return p.toks[p.pos+n]
+	return p.win[p.pos]
 }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+
+func (p *Parser) la(n int) Token {
+	if p.pos+n >= len(p.win) {
+		p.fill(n)
+	}
+	return p.win[p.pos+n]
+}
+
+func (p *Parser) next() Token { t := p.cur(); p.pos++; return t }
+
+// fill drops the tokens before the current one from the window and
+// steps the stream until the window holds the token n past it.
+func (p *Parser) fill(n int) {
+	p.win = p.win[:copy(p.win, p.win[p.pos:])]
+	p.pos = 0
+	for len(p.win) <= n {
+		p.win = p.src.step(p.win)
+	}
+}
 
 func (p *Parser) accept(text string) bool {
 	if p.cur().Is(text) {

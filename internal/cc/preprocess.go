@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -21,6 +22,17 @@ type Macro struct {
 // macro expansion is tagged with the macro's name in Token.Origin, so
 // that later stages can suppress warnings for compiler-generated code
 // exactly as STACK does (paper §4.2).
+//
+// The preprocessor is pulled, and pulls in turn. Each step of a run
+// (ppStream) reads source tokens from its Lexer only as far as one
+// directive line or one macro invocation reaches, and hands out that
+// line's effect or that token's expansion; Parse steps it whenever the
+// parser's window runs out. What a run holds is that line or
+// invocation, its expansion and the expansion stack, never the file.
+// Preprocess collects the same stream into one array, for the tests
+// and the benchmark's per-layer timing. A run that fails keeps its
+// first error and ends; ppStream.finish ranks it below a lexer error
+// later in the file and above the error of whatever read the stream.
 //
 // Expansion appends each output token once, straight into the output
 // (or into the body buffer of the invocation being built). Rescanning a
@@ -62,13 +74,10 @@ func NewPreprocessor() *Preprocessor {
 	return &Preprocessor{Macros: make(map[string]*Macro)}
 }
 
-// Preprocess tokenizes and macro-expands src; an error names file.
+// Preprocess tokenizes and macro-expands src and collects the stream
+// Parse reads; an error names file.
 func (pp *Preprocessor) Preprocess(file, src string) ([]Token, error) {
-	toks, err := Tokenize(file, src)
-	if err != nil {
-		return nil, err
-	}
-	out, err := pp.run(toks, pp.expandSource)
+	out, err := pp.stream(NewLexer(src), pp.expandSource).collect()
 	return out, inFile(err, file)
 }
 
@@ -78,107 +87,286 @@ func (pp *Preprocessor) expandSource(out, toks []Token, i int) ([]Token, int, er
 	return pp.expand(out, toks, i, nil)
 }
 
-// run interprets the directive lines of toks and hands each active
-// ordinary token to expand, which appends its expansion to out and
-// returns the number of tokens consumed. The tests pass the reference
-// expander here.
-func (pp *Preprocessor) run(toks []Token, expand func(out, toks []Token, i int) ([]Token, int, error)) ([]Token, error) {
-	pp.expansions, pp.depth, pp.args = 0, 0, pp.args[:0]
-	// Presized to the input: directives drop out and expansions add
-	// tokens, but for most sources the output is about as long.
-	out := make([]Token, 0, len(toks))
-	// Conditional-inclusion stack: each entry records whether the
-	// current branch is active and whether any branch was taken.
-	type cond struct{ active, taken bool }
-	var conds []cond
-	active := func() bool {
-		for _, c := range conds {
-			if !c.active {
-				return false
-			}
-		}
-		return true
-	}
+// expander appends the expansion of the source token at toks[i] to out
+// and returns the number of tokens it consumed: the preprocessor's
+// expandSource, or the reference expander of the tests.
+type expander func(out, toks []Token, i int) ([]Token, int, error)
 
-	i := 0
-	for i < len(toks) {
-		t := toks[i]
-		if t.Kind == TokEOF {
-			out = append(out, t)
-			break
-		}
-		if t.LineStart && t.Is("#") {
-			// Collect the directive line.
-			j := i + 1
-			for j < len(toks) && toks[j].Kind != TokEOF && !toks[j].LineStart {
-				j++
-			}
-			line := toks[i+1 : j]
-			i = j
-			if len(line) == 0 {
-				continue // null directive
-			}
-			name := line[0].Text
-			switch name {
-			case "define":
-				if !active() {
-					continue
-				}
-				if err := pp.define(line[1:], t.Pos); err != nil {
-					return nil, err
-				}
-			case "undef":
-				if !active() {
-					continue
-				}
-				if len(line) >= 2 {
-					delete(pp.Macros, line[1].Text)
-				}
-			case "include":
-				// Ignored: the corpus is self-contained.
-			case "ifdef", "ifndef":
-				def := len(line) >= 2 && pp.Macros[line[1].Text] != nil
-				take := def == (name == "ifdef")
-				conds = append(conds, cond{active: take, taken: take})
-			case "if":
-				// Minimal: literal 0/1 and defined(NAME).
-				take := pp.evalIf(line[1:])
-				conds = append(conds, cond{active: take, taken: take})
-			case "else":
-				if len(conds) == 0 {
-					return nil, errf(t.Pos, "#else without #if")
-				}
-				c := &conds[len(conds)-1]
-				c.active = !c.taken
-				c.taken = true
-			case "endif":
-				if len(conds) == 0 {
-					return nil, errf(t.Pos, "#endif without #if")
-				}
-				conds = conds[:len(conds)-1]
-			case "pragma", "error", "warning", "line":
-				// Ignored.
-			default:
-				return nil, errf(t.Pos, "unsupported directive #%s", name)
-			}
-			continue
-		}
-		if !active() {
-			i++
-			continue
-		}
-		// Ordinary token: macro-expand.
-		var n int
-		var err error
-		if out, n, err = expand(out, toks, i); err != nil {
-			return nil, err
-		}
-		i += n
+// run preprocesses toks with expand and collects the output. The tests
+// pass the reference expander here. The stream starts with all of toks
+// read, so what it does with them cannot depend on how far a step
+// reads ahead: the streamed Parse is compared against it.
+func (pp *Preprocessor) run(toks []Token, expand expander) ([]Token, error) {
+	// No step reads past an EOF or consumes it, so a stream over toks
+	// that end with one reads them in place and never writes to them.
+	if n := len(toks); n == 0 || toks[n-1].Kind != TokEOF {
+		toks = append(slices.Clip(toks), Token{Kind: TokEOF})
 	}
-	if len(out) == 0 || out[len(out)-1].Kind != TokEOF {
-		out = append(out, Token{Kind: TokEOF})
+	s := pp.stream(endOfSource{}, expand)
+	s.ahead = toks
+	return s.collect()
+}
+
+// tokenSource is what a preprocessor stream reads: a Lexer, or
+// endOfSource after tokens lexed before.
+type tokenSource interface {
+	Next() (Token, error)
+}
+
+// endOfSource is a source with nothing left in it.
+type endOfSource struct{}
+
+func (endOfSource) Next() (Token, error) { return Token{Kind: TokEOF}, nil }
+
+// cond is an entry of the conditional-inclusion stack: whether the
+// current branch is active and whether any branch was taken.
+type cond struct{ active, taken bool }
+
+// ppStream is one run of the preprocessor over a token source, stepped
+// one directive line or one active source token at a time.
+type ppStream struct {
+	pp     *Preprocessor
+	src    tokenSource
+	expand expander
+	// ahead[head:] holds the source tokens read but not yet consumed:
+	// the directive line or macro invocation being read, and the token
+	// that ended it. Macro bodies and arguments are copied or expanded
+	// before the tokens they came from are dropped.
+	ahead  []Token
+	head   int
+	conds  []cond
+	eof    Token // what the stream repeats once it is done
+	done   bool  // EOF was handed out, or the stream failed
+	srcErr error // the source's error, which outranks every other
+	err    error // the first preprocessing error
+}
+
+// stream starts a run of pp over src.
+func (pp *Preprocessor) stream(src tokenSource, expand expander) *ppStream {
+	pp.expansions, pp.depth, pp.args = 0, 0, pp.args[:0]
+	return &ppStream{pp: pp, src: src, expand: expand, eof: Token{Kind: TokEOF}}
+}
+
+// collect steps s to its end and returns everything it produced.
+func (s *ppStream) collect() ([]Token, error) {
+	var out []Token
+	for !s.done {
+		out = s.step(out)
+	}
+	if err := s.finish(nil); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// fill reads source tokens until k+1 of them are unconsumed; false if
+// the source failed.
+func (s *ppStream) fill(k int) bool {
+	return len(s.ahead)-s.head > k || s.read(k)
+}
+
+// read is fill's loop, kept out of line so that fill inlines. A full
+// buffer first moves its unconsumed tokens to the front.
+func (s *ppStream) read(k int) bool {
+	for len(s.ahead)-s.head <= k {
+		t, err := s.src.Next()
+		if err != nil {
+			s.srcErr = err
+			return false
+		}
+		if s.head > 0 && len(s.ahead) == cap(s.ahead) {
+			s.ahead = s.ahead[:copy(s.ahead, s.ahead[s.head:])]
+			s.head = 0
+		}
+		s.ahead = append(s.ahead, t)
+	}
+	return true
+}
+
+// consume drops the next n unconsumed tokens.
+func (s *ppStream) consume(n int) {
+	if s.head += n; s.head == len(s.ahead) {
+		s.ahead, s.head = s.ahead[:0], 0
+	}
+}
+
+// stop ends the stream on err, or on the source's error when err is
+// nil, and appends the EOF it hands out from now on.
+func (s *ppStream) stop(dst []Token, err error) []Token {
+	if err != nil {
+		s.err = err
+	}
+	s.done, s.eof = true, Token{Kind: TokEOF}
+	return append(dst, s.eof)
+}
+
+func (s *ppStream) active() bool {
+	for _, c := range s.conds {
+		if !c.active {
+			return false
+		}
+	}
+	return true
+}
+
+// step interprets the next directive line, or appends the expansion of
+// the next active source token to dst, which may add no token at all.
+// Once the stream is done, each step appends its EOF.
+func (s *ppStream) step(dst []Token) []Token {
+	if s.done {
+		return append(dst, s.eof)
+	}
+	if !s.fill(0) {
+		return s.stop(dst, nil)
+	}
+	if t := &s.ahead[s.head]; t.Kind == TokEOF {
+		s.done, s.eof = true, *t
+		return append(dst, *t)
+	} else if t.LineStart && t.Is("#") {
+		// Read the directive line and the token after it.
+		j := 1
+		for ; ; j++ {
+			if !s.fill(j) {
+				return s.stop(dst, nil)
+			}
+			if u := &s.ahead[s.head+j]; u.Kind == TokEOF || u.LineStart {
+				break
+			}
+		}
+		line := s.ahead[s.head : s.head+j]
+		err := s.directive(line[0].Pos, line[1:])
+		s.consume(j)
+		if err != nil {
+			return s.stop(dst, err)
+		}
+		return dst
+	}
+	if !s.active() {
+		s.consume(1)
+		return dst
+	}
+	if !s.readInvocation() {
+		return s.stop(dst, nil)
+	}
+	// Ordinary token: macro-expand.
+	out, n, err := s.expand(dst, s.ahead, s.head)
+	if err != nil {
+		return s.stop(dst, err)
+	}
+	s.consume(n)
+	return out
+}
+
+// readInvocation reads the rest of a function-like macro invocation
+// that the next token may start: the token after the name and, if that
+// is '(', the argument list up to its ')', EOF, or the nesting bound,
+// which is all an expander looks at. False if the source failed.
+func (s *ppStream) readInvocation() bool {
+	t := &s.ahead[s.head]
+	if t.Kind != TokIdent {
+		return true
+	}
+	if m := s.pp.Macros[t.Text]; m == nil || m.Params == nil {
+		return true
+	}
+	depth := 0
+	for k := 1; ; k++ {
+		if !s.fill(k) {
+			return false
+		}
+		switch u := &s.ahead[s.head+k]; {
+		case u.Kind == TokEOF, k == 1 && !u.Is("("):
+			return true
+		case u.Is("("):
+			if depth++; depth > maxMacroDepth {
+				return true
+			}
+		case u.Is(")"):
+			if depth--; depth == 0 {
+				return true
+			}
+		}
+	}
+}
+
+// directive interprets the directive named by line[0]; pos is that of
+// its '#'.
+func (s *ppStream) directive(pos Pos, line []Token) error {
+	pp := s.pp
+	if len(line) == 0 {
+		return nil // null directive
+	}
+	name := line[0].Text
+	switch name {
+	case "define":
+		if s.active() {
+			return pp.define(line[1:], pos)
+		}
+	case "undef":
+		if s.active() && len(line) >= 2 {
+			delete(pp.Macros, line[1].Text)
+		}
+	case "include":
+		// Ignored: the corpus is self-contained.
+	case "ifdef", "ifndef":
+		def := len(line) >= 2 && pp.Macros[line[1].Text] != nil
+		take := def == (name == "ifdef")
+		s.conds = append(s.conds, cond{active: take, taken: take})
+	case "if":
+		// Minimal: literal 0/1 and defined(NAME).
+		take := pp.evalIf(line[1:])
+		s.conds = append(s.conds, cond{active: take, taken: take})
+	case "else":
+		if len(s.conds) == 0 {
+			return errf(pos, "#else without #if")
+		}
+		c := &s.conds[len(s.conds)-1]
+		c.active = !c.taken
+		c.taken = true
+	case "endif":
+		if len(s.conds) == 0 {
+			return errf(pos, "#endif without #if")
+		}
+		s.conds = s.conds[:len(s.conds)-1]
+	case "pragma", "error", "warning", "line":
+		// Ignored.
+	default:
+		return errf(pos, "unsupported directive #%s", name)
+	}
+	return nil
+}
+
+// finish returns the error of a run that ended, given parseErr, the
+// error of whatever read the stream. It ranks errors as a frontend that
+// lexes the whole file, then preprocesses it, then parses would: a
+// lexer error anywhere in the file first, then the first preprocessing
+// error, then parseErr. So after parseErr it steps the stream to its
+// end, and after a preprocessing error it lexes to the end of the
+// source.
+func (s *ppStream) finish(parseErr error) error {
+	if parseErr != nil {
+		var sink []Token
+		for !s.done {
+			sink = s.step(sink[:0])
+		}
+	}
+	if s.err != nil {
+		for s.srcErr == nil {
+			t, err := s.src.Next()
+			if err != nil {
+				s.srcErr = err
+			} else if t.Kind == TokEOF {
+				break
+			}
+		}
+	}
+	switch {
+	case s.srcErr != nil:
+		return s.srcErr
+	case s.err != nil:
+		return s.err
+	}
+	return parseErr
 }
 
 func (pp *Preprocessor) evalIf(line []Token) bool {
@@ -230,10 +418,10 @@ func (pp *Preprocessor) define(line []Token, pos Pos) error {
 		if i >= len(rest) {
 			return errf(pos, "unterminated macro parameter list")
 		}
-		m.Body = rest[i+1:]
-	} else {
-		m.Body = rest
+		rest = rest[i+1:]
 	}
+	// The line is the stream's buffer, which the next line reuses.
+	m.Body = slices.Clone(rest)
 	pp.Macros[m.Name] = m
 	return nil
 }

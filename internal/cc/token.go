@@ -94,7 +94,7 @@ var keywords = map[string]bool{
 
 // Error is a frontend diagnostic carrying a source position. File
 // names the translation unit; it is set where the error leaves the
-// frontend (Tokenize, Preprocess, ParseTokens, Check, ir.Build).
+// frontend (Tokenize, Preprocess, Parse, ParseTokens, Check, ir.Build).
 type Error struct {
 	File string
 	Pos  Pos

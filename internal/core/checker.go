@@ -695,9 +695,9 @@ func (st *funcState) algebraProposal(cond, sum, base *ir.Value, swapped bool) (*
 		return nil, "" // unsigned wraparound is defined; not unstable
 	}
 	var off *ir.Value
-	if sum.Args[0] == base {
+	if sameValue(sum.Args[0], base) {
 		off = sum.Args[1]
-	} else if sum.Args[1] == base {
+	} else if sameValue(sum.Args[1], base) {
 		off = sum.Args[0]
 	} else {
 		return nil, ""
@@ -735,6 +735,18 @@ func (st *funcState) algebraProposal(cond, sum, base *ir.Value, swapped bool) (*
 		return b.Ne(o, zero), offName(off) + " != 0"
 	}
 	return nil, ""
+}
+
+// sameValue reports whether a and b are one value: the same value, or
+// constants of one width and value, which value numbering may or may
+// not have merged.
+func sameValue(a, b *ir.Value) bool {
+	if a == b {
+		return true
+	}
+	x, ok := a.ConstInt()
+	y, ok2 := b.ConstInt()
+	return ok && ok2 && a.Width == b.Width && x == y
 }
 
 func offName(v *ir.Value) string {

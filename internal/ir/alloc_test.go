@@ -70,6 +70,34 @@ func TestSSAPassAllocsDoNotGrowWithValues(t *testing.T) {
 	}
 }
 
+// branchy returns the source of f, a chain of n if statements: about
+// 2n blocks.
+func branchy(n int) string {
+	var b strings.Builder
+	b.WriteString("int f(int x, int y) {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "\tif (x < %d) y = y + x;\n", i)
+	}
+	b.WriteString("\treturn y;\n}\n")
+	return b.String()
+}
+
+// TestComputeDomAllocsDoNotGrowWithBlocks: ComputeDom keeps its tables
+// in slices indexed by Block.ID, sized once, so a function ten times
+// longer costs no more allocations.
+func TestComputeDomAllocsDoNotGrowWithBlocks(t *testing.T) {
+	allocs := func(n int) (float64, int) {
+		f := fn(t, build(t, branchy(n)), "f")
+		return testing.AllocsPerRun(10, func() { ComputeDom(f) }), len(f.Blocks)
+	}
+	small, n := allocs(20)
+	large, m := allocs(200)
+	t.Logf("%.0f allocs at %d blocks, %.0f at %d", small, n, large, m)
+	if large > small {
+		t.Errorf("%.0f allocs at %d blocks, %.0f at %d: allocations grow with the function", small, n, large, m)
+	}
+}
+
 func TestBlockAllAllocatesNothing(t *testing.T) {
 	f := fn(t, build(t, straightLine(200)), "f")
 	sum := 0

@@ -5,12 +5,16 @@ package ir
 // program assumption for a fragment e to e's dominators (paper §4.4,
 // eq. 5/6), so this analysis is on the checker's hot path.
 
+import "slices"
+
 // DomTree holds immediate dominators and derived queries for one Func.
+// Its tables are indexed by Block.ID, as every per-block table of the
+// SSA passes is.
 type DomTree struct {
 	fn       *Func
-	idom     map[*Block]*Block
+	idom     []*Block // by Block.ID; nil for a block not yet processed
 	rpo      []*Block
-	rpoIndex map[*Block]int
+	rpoIndex []int32 // by Block.ID: the block's index in rpo
 }
 
 // ComputeDom returns the dominator tree of f. Blocks unreachable from
@@ -18,24 +22,24 @@ type DomTree struct {
 func ComputeDom(f *Func) *DomTree {
 	d := &DomTree{
 		fn:       f,
-		idom:     make(map[*Block]*Block, len(f.Blocks)),
-		rpoIndex: make(map[*Block]int, len(f.Blocks)),
+		idom:     make([]*Block, len(f.Blocks)),
+		rpoIndex: make([]int32, len(f.Blocks)),
 	}
 	d.rpo = ReversePostorder(f)
 	for i, b := range d.rpo {
-		d.rpoIndex[b] = i
+		d.rpoIndex[b.ID] = int32(i)
 	}
 	if len(d.rpo) == 0 {
 		return d
 	}
 	entry := d.rpo[0]
-	d.idom[entry] = entry
+	d.idom[entry.ID] = entry
 	for changed := true; changed; {
 		changed = false
 		for _, b := range d.rpo[1:] {
 			var newIdom *Block
 			for _, p := range b.Preds {
-				if d.idom[p] == nil {
+				if d.idom[p.ID] == nil {
 					continue // not yet processed
 				}
 				if newIdom == nil {
@@ -44,8 +48,8 @@ func ComputeDom(f *Func) *DomTree {
 				}
 				newIdom = d.intersect(p, newIdom)
 			}
-			if newIdom != nil && d.idom[b] != newIdom {
-				d.idom[b] = newIdom
+			if newIdom != nil && d.idom[b.ID] != newIdom {
+				d.idom[b.ID] = newIdom
 				changed = true
 			}
 		}
@@ -55,11 +59,11 @@ func ComputeDom(f *Func) *DomTree {
 
 func (d *DomTree) intersect(a, b *Block) *Block {
 	for a != b {
-		for d.rpoIndex[a] > d.rpoIndex[b] {
-			a = d.idom[a]
+		for d.rpoIndex[a.ID] > d.rpoIndex[b.ID] {
+			a = d.idom[a.ID]
 		}
-		for d.rpoIndex[b] > d.rpoIndex[a] {
-			b = d.idom[b]
+		for d.rpoIndex[b.ID] > d.rpoIndex[a.ID] {
+			b = d.idom[b.ID]
 		}
 	}
 	return a
@@ -67,7 +71,7 @@ func (d *DomTree) intersect(a, b *Block) *Block {
 
 // IDom returns the immediate dominator of b (the entry dominates
 // itself).
-func (d *DomTree) IDom(b *Block) *Block { return d.idom[b] }
+func (d *DomTree) IDom(b *Block) *Block { return d.idom[b.ID] }
 
 // Dominates reports whether a dominates b (reflexive).
 func (d *DomTree) Dominates(a, b *Block) bool {
@@ -75,7 +79,7 @@ func (d *DomTree) Dominates(a, b *Block) bool {
 		if a == b {
 			return true
 		}
-		parent := d.idom[b]
+		parent := d.idom[b.ID]
 		if parent == nil || parent == b {
 			return false
 		}
@@ -88,7 +92,7 @@ func (d *DomTree) Dominators(b *Block) []*Block {
 	var rev []*Block
 	for {
 		rev = append(rev, b)
-		parent := d.idom[b]
+		parent := d.idom[b.ID]
 		if parent == nil || parent == b {
 			break
 		}
@@ -104,13 +108,13 @@ func (d *DomTree) Dominators(b *Block) []*Block {
 // ReversePostorder returns f's blocks in reverse postorder of a DFS
 // from the entry.
 func ReversePostorder(f *Func) []*Block {
-	var order []*Block
-	seen := make(map[*Block]bool, len(f.Blocks))
+	order := make([]*Block, 0, len(f.Blocks))
+	seen := make([]bool, len(f.Blocks)) // by Block.ID
 	var dfs func(*Block)
 	dfs = func(b *Block) {
-		seen[b] = true
+		seen[b.ID] = true
 		for _, s := range b.Succs {
-			if !seen[s] {
+			if !seen[s.ID] {
 				dfs(s)
 			}
 		}
@@ -119,9 +123,7 @@ func ReversePostorder(f *Func) []*Block {
 	if f.Entry != nil {
 		dfs(f.Entry)
 	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
+	slices.Reverse(order)
 	return order
 }
 

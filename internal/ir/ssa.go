@@ -40,15 +40,15 @@ func (d *DomTree) DominanceFrontier() [][]*Block {
 			continue
 		}
 		for _, p := range b.Preds {
-			if d.idom[p] == nil {
+			if d.idom[p.ID] == nil {
 				continue // unreachable predecessor
 			}
-			for runner := p; runner != d.idom[b]; runner = d.idom[runner] {
+			for runner := p; runner != d.idom[b.ID]; runner = d.idom[runner.ID] {
 				if last[runner.ID] != int32(b.ID+1) {
 					last[runner.ID] = int32(b.ID + 1)
 					df[runner.ID] = append(df[runner.ID], b)
 				}
-				if runner == d.idom[runner] {
+				if runner == d.idom[runner.ID] {
 					break // entry
 				}
 			}

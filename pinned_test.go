@@ -46,18 +46,18 @@ var pinnedWork = map[string]workPin{
 		"figure": `{"files":70,"queries":5472,"query-timeouts":0}`,
 		"stats":  `{"functions":420,"blocks":1987,"queries":5472,"timeouts":0,"rewriteHits":5233,"termsCreated":9474,"fastPaths":3,"termsBlasted":3509,"blastPasses":682,"learntsReused":13871,"cacheHits":5834,"learntsDropped":0,"arenaBytesReused":0,"gvnHits":276,"sccpFoldedValues":771,"crossBlockGvnHits":657,"witnessHits":4418}`,
 	}},
-	"BenchmarkSweepParallel": {allocs: 150843, rows: map[string]string{
+	"BenchmarkSweepParallel": {allocs: 147490, rows: map[string]string{
 		"stats": `{"functions":384,"blocks":1688,"queries":4662,"timeouts":0,"rewriteHits":4686,"termsCreated":8532,"fastPaths":0,"termsBlasted":3381,"blastPasses":622,"learntsReused":25757,"cacheHits":5159,"learntsDropped":0,"arenaBytesReused":0,"gvnHits":272,"sccpFoldedValues":597,"crossBlockGvnHits":564,"witnessHits":3711}`,
 	}},
-	"BenchmarkIncrementalVsScratch": {allocs: 420422, rows: map[string]string{
+	"BenchmarkIncrementalVsScratch": {allocs: 418172, rows: map[string]string{
 		"incremental": `{"functions":256,"blocks":1303,"queries":3273,"timeouts":0,"rewriteHits":3040,"termsCreated":5621,"fastPaths":27,"termsBlasted":2838,"blastPasses":519,"learntsReused":158317,"cacheHits":3247,"learntsDropped":0,"arenaBytesReused":0,"gvnHits":86,"sccpFoldedValues":448,"crossBlockGvnHits":428,"witnessHits":2417}`,
 		"scratch":     `{"functions":256,"blocks":1303,"queries":3273,"timeouts":0,"rewriteHits":3040,"termsCreated":5621,"fastPaths":27,"termsBlasted":36757,"blastPasses":3246,"learntsReused":0,"cacheHits":3247,"learntsDropped":0,"arenaBytesReused":0,"gvnHits":86,"sccpFoldedValues":448,"crossBlockGvnHits":428}`,
 	}},
-	"BenchmarkSSAChainHeavy": {allocs: 118018, rows: map[string]string{
+	"BenchmarkSSAChainHeavy": {allocs: 117364, rows: map[string]string{
 		"legacy": `{"functions":24,"blocks":312,"queries":864,"timeouts":0,"rewriteHits":864,"termsCreated":5825,"fastPaths":0,"termsBlasted":5345,"blastPasses":96,"learntsReused":1313931,"cacheHits":2551,"learntsDropped":0,"arenaBytesReused":0,"witnessHits":686}`,
 		"ssa":    `{"functions":24,"blocks":312,"queries":864,"timeouts":0,"rewriteHits":720,"termsCreated":4437,"fastPaths":0,"termsBlasted":4053,"blastPasses":96,"learntsReused":652736,"cacheHits":2545,"learntsDropped":0,"arenaBytesReused":0,"promotedAllocas":24,"eliminatedStores":24,"gvnHits":218,"sccpFoldedValues":48,"crossBlockGvnHits":384,"ssaSharpened":24,"witnessHits":704}`,
 	}},
-	"BenchmarkSCCPBranchHeavy": {allocs: 44942, rows: map[string]string{
+	"BenchmarkSCCPBranchHeavy": {allocs: 44726, rows: map[string]string{
 		"legacy": `{"functions":24,"blocks":168,"queries":408,"timeouts":0,"rewriteHits":960,"termsCreated":2923,"fastPaths":0,"termsBlasted":2715,"blastPasses":56,"learntsReused":1073344,"cacheHits":917,"learntsDropped":0,"arenaBytesReused":0,"witnessHits":323}`,
 		"ssa":    `{"functions":24,"blocks":168,"queries":240,"timeouts":0,"rewriteHits":1080,"termsCreated":2515,"fastPaths":0,"termsBlasted":1306,"blastPasses":39,"learntsReused":26414,"cacheHits":1152,"learntsDropped":0,"arenaBytesReused":0,"gvnHits":67,"sccpFoldedValues":96,"sccpFoldedBranches":24,"sccpUnreachableBlocks":24,"crossBlockGvnHits":130,"hoistedUbTerms":48,"ssaSharpened":24,"witnessHits":180}`,
 	}},

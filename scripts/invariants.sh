@@ -58,6 +58,14 @@
 #      inlined call's returns). A third phi site in the builder is a
 #      second SSA construction.
 #
+#   8. One streamed frontend. cc.Parse pulls tokens through the
+#      preprocessor from the lexer and builds no array as long as the
+#      file, so its body calls neither Tokenize( nor Preprocess(, the
+#      collecting entry points. Outside internal/cc and bench/, no
+#      non-test Go file calls cc.Tokenize, Preprocess( or
+#      cc.ParseTokens: a caller of those is a second, whole-file
+#      frontend beside the streamed one.
+#
 # Usage:
 #   scripts/invariants.sh              # check the repository
 #   scripts/invariants.sh --self-test  # prove the checks can fail
@@ -297,6 +305,43 @@ check_one_ssa_construction() {
 	done < <(go_sources "$dir")
 	[ "$bad" -eq 0 ] || return 1
 	echo "invariants: ok: one SSA construction"
+}
+
+# check_one_streamed_frontend DIR — the body of cc.Parse in
+# DIR/internal/cc/parser.go calls neither Tokenize( nor Preprocess(,
+# and no non-test Go file outside DIR/internal/cc and DIR/bench calls
+# cc.Tokenize, Preprocess( or cc.ParseTokens. Comment lines do not
+# count as calls.
+check_one_streamed_frontend() {
+	local root="$1" parser="$1/internal/cc/parser.go" body bad=0 f
+	if [ ! -f "$parser" ]; then
+		echo "invariants: FAIL: missing $parser" >&2
+		return 1
+	fi
+	body="$(awk '
+		/^func Parse\(/ { in_fn = 1 }
+		in_fn { print }
+		in_fn && /^}/ { exit }
+	' "$parser" | grep -v '^[[:space:]]*//' || true)"
+	if [ -z "$body" ]; then
+		echo "invariants: FAIL: no func Parse parsed from $parser" >&2
+		return 1
+	fi
+	if printf '%s\n' "$body" | grep -E '(^|[^[:alnum:]_])(Tokenize|Preprocess)\(' >&2; then
+		echo "invariants: FAIL: cc.Parse calls Tokenize( or Preprocess( (one streamed frontend)" >&2
+		bad=1
+	fi
+	while IFS= read -r f; do
+		case "$f" in
+		"$root/internal/cc/"* | "$root/bench/"*) continue ;;
+		esac
+		if grep -v '^[[:space:]]*//' "$f" | grep -E '(cc\.Tokenize|Preprocess|cc\.ParseTokens)\(' >/dev/null; then
+			echo "invariants: FAIL: $f calls cc.Tokenize, Preprocess( or cc.ParseTokens (one streamed frontend)" >&2
+			bad=1
+		fi
+	done < <(go_sources "$root")
+	[ "$bad" -eq 0 ] || return 1
+	echo "invariants: ok: one streamed frontend"
 }
 
 self_test() {
@@ -581,10 +626,67 @@ self_test() {
 		pass=1
 	fi
 
+	# A streamed cc.Parse, a collecting frontend under bench/ and a
+	# caller of cc.Parse pass; a cc.Parse that collects, or a caller
+	# of cc.ParseTokens outside internal/cc and bench/, must fail.
+	mkdir -p "$tmp/k/internal/cc" "$tmp/k/bench" "$tmp/k/stack"
+	cat >"$tmp/k/internal/cc/parser.go" <<-'EOF'
+		package cc
+
+		// Parse does not call Preprocess(: it streams.
+		func Parse(filename, src string) (*File, error) {
+			pp := NewPreprocessor()
+			return newParser(filename, pp.stream(NewLexer(src), pp.expandSource)).parse()
+		}
+
+		func ParseTokens(filename string, toks []Token) (*File, error) {
+			return newParser(filename, &tokenSlice{toks: toks}).parse()
+		}
+	EOF
+	cat >"$tmp/k/bench/trace.go" <<-'EOF'
+		package main
+
+		func trace(name, src string) { toks, _ := cc.NewPreprocessor().Preprocess(name, src); cc.ParseTokens(name, toks) }
+	EOF
+	cat >"$tmp/k/stack/stack.go" <<-'EOF'
+		package stack
+
+		func checkOne(name, src string) { f, err := cc.Parse(name, src) }
+	EOF
+	if ! check_one_streamed_frontend "$tmp/k" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: the streamed frontend rejected" >&2
+		pass=1
+	fi
+	mkdir -p "$tmp/l"
+	cp -r "$tmp/k/internal" "$tmp/k/bench" "$tmp/k/stack" "$tmp/l/"
+	cat >"$tmp/l/internal/cc/parser.go" <<-'EOF'
+		package cc
+
+		func Parse(filename, src string) (*File, error) {
+			toks, err := NewPreprocessor().Preprocess(filename, src)
+			if err != nil {
+				return nil, err
+			}
+			return ParseTokens(filename, toks)
+		}
+	EOF
+	if check_one_streamed_frontend "$tmp/l" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: a cc.Parse that collects not detected" >&2
+		pass=1
+	fi
+	cat >>"$tmp/k/stack/stack.go" <<-'EOF'
+
+		func checkToks(name string, toks []cc.Token) { f, err := cc.ParseTokens(name, toks) }
+	EOF
+	if check_one_streamed_frontend "$tmp/k" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: a cc.ParseTokens caller outside internal/cc and bench/ not detected" >&2
+		pass=1
+	fi
+
 	if [ "$pass" -ne 0 ]; then
 		return 1
 	fi
-	echo "invariants: self-test ok (17 cases)"
+	echo "invariants: self-test ok (20 cases)"
 }
 
 if [ "${1:-}" = "--self-test" ]; then
@@ -599,3 +701,4 @@ check_ssa_passes "$ROOT/internal/ir/analysis.go" "$ROOT/internal/core/stats.go" 
 check_one_pipeline "$ROOT"
 check_shipped_options "$ROOT"
 check_one_ssa_construction "$ROOT"
+check_one_streamed_frontend "$ROOT"
