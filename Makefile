@@ -35,8 +35,8 @@ vulncheck:
 # Structural invariants (one emitter; append-only diagnostic codes;
 # complete cache fingerprint; accounted SSA passes; one per-file
 # pipeline; no unshipped options; one SSA construction; one streamed
-# frontend), plus the script's own self-test proving the checks can
-# fail.
+# frontend; one fragment decision), plus the script's own self-test
+# proving the checks can fail.
 invariants:
 	./scripts/invariants.sh
 	./scripts/invariants.sh --self-test

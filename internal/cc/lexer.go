@@ -203,7 +203,7 @@ func (l *Lexer) lexOne() (Token, error) {
 		return l.lexCharOrString('"', TokString, pos)
 	}
 	for _, p := range puncts {
-		if l.hasPrefix(p) {
+		if p[0] == c && l.hasPrefix(p) { // no splice starts at the token: c is its first byte
 			for range p {
 				l.advance()
 			}

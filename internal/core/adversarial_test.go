@@ -5,9 +5,11 @@ package core
 // NOT produce reports.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestLoopBodyChecksNotFalselyFolded(t *testing.T) {
@@ -349,5 +351,42 @@ int f(int x, int c) {
 	branched := analyze(t, fmt.Sprintf(file, "if (c) c = 0;"), DefaultOptions)
 	if got, want := FormatReports(branched), FormatReports(twin); got != want {
 		t.Errorf("with a branch before &x:\n%s\nwithout it:\n%s", got, want)
+	}
+}
+
+// TestBooleanDAGWalkIsLinear: each level of this function reaches the
+// next boolean along two paths, through !b and through !!!c, so the
+// width-1 values form a DAG with 2^n paths from t0 to the branch on tn.
+// The check of whether a boolean expression only feeds folded branches
+// must visit each value once, not once per path. The check runs in a
+// goroutine so that a walk per path fails the test instead of hanging
+// it.
+func TestBooleanDAGWalkIsLinear(t *testing.T) {
+	const n = 40
+	var src strings.Builder
+	src.WriteString("int f(int x, int y) {\n\tbool t0 = x + 1 < x;\n")
+	for k := range n {
+		fmt.Fprintf(&src, "\tbool b%d = !t%d; bool c%d = !!!t%d; bool t%d; if (y) t%d = !b%d; else t%d = !c%d;\n",
+			k, k, k, k, k+1, k+1, k, k+1, k)
+	}
+	fmt.Fprintf(&src, "\tif (t%d)\n\t\treturn 1;\n\treturn 0;\n}\n", n)
+	p := buildProgram(t, "dag.c", src.String())
+	type result struct {
+		reports []*Report
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		reports, err := New(DefaultOptions).CheckProgram(context.Background(), p)
+		done <- result{reports, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		wantReportWithUB(t, r.reports, UBSignedOverflow)
+	case <-time.After(10 * time.Second):
+		t.Fatalf("CheckProgram on a %d-level boolean DAG did not finish within 10s", n)
 	}
 }

@@ -14,6 +14,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -268,9 +269,9 @@ func (c *Checker) newFuncState(ctx context.Context, f *ir.Func, bld *bv.Builder)
 	enc := newEncoder(bld, f)
 	ubs := insertUBConds(f)
 	st := &funcState{
-		c: c, ctx: ctx, f: f, enc: enc, ubs: ubs, dom: dom,
-		eliminated: map[*ir.Block]bool{},
+		c: c, ctx: ctx, f: f, enc: enc, dom: dom,
 		seen:       map[int]bool{},
+		eliminated: make([]bool, len(f.Blocks)),
 	}
 	for _, b := range f.Blocks {
 		for v := range b.All() {
@@ -292,14 +293,20 @@ type funcState struct {
 	f        *ir.Func
 	enc      *encoder
 	solver   *bv.Session
-	ubs      map[*ir.Value][]*UBCond
 	dom      *ir.DomTree
 	allConds []*UBCond
 	// delta memoizes the ∆ terms of allConds[i] at index i, and seen
-	// is wellDefinedTerms' dedup set, reused from call to call.
-	delta      []condTerms
-	seen       map[int]bool
-	eliminated map[*ir.Block]bool
+	// is wellDefinedTerms' dedup set, reused from call to call. last is
+	// the latest ∆ wellDefinedTerms returned.
+	delta []condTerms
+	seen  map[int]bool
+	last  struct {
+		b        *ir.Block
+		uptoTerm bool
+		terms    []*bv.Term
+		kept     []*UBCond
+	}
+	eliminated []bool // by Block.ID
 }
 
 // condTerms memoizes the ∆ terms of one UB condition U, each built on
@@ -317,8 +324,12 @@ type condTerms struct {
 // contributes the guarded form R'_d → ¬U_d of eq. (2), with R'_d the
 // intra-function reachability of d's block. uptoTerm includes b's own
 // instructions as dominators (for fragments at b's terminator).
-// Results are deduplicated by term identity.
+// Results are deduplicated by term identity. Asked again for the ∆ it
+// returned last, it returns the same slices.
 func (st *funcState) wellDefinedTerms(b *ir.Block, uptoTerm bool) ([]*bv.Term, []*UBCond) {
+	if st.last.b == b && st.last.uptoTerm == uptoTerm {
+		return st.last.terms, st.last.kept
+	}
 	bb := st.enc.b
 	dominates := func(u *UBCond) bool {
 		ub := u.Value.Block
@@ -361,48 +372,76 @@ func (st *funcState) wellDefinedTerms(b *ir.Block, uptoTerm bool) ([]*bv.Term, [
 		terms = append(terms, t)
 		kept = append(kept, u)
 	}
+	st.last.b, st.last.uptoTerm, st.last.terms, st.last.kept = b, uptoTerm, terms, kept
 	return terms, kept
 }
 
-// elimVerdict memoizes one block's elimination queries. p1 and p2
-// default to Sat: constant-true reachability needs no phase-1 query,
-// and a block without UB conditions no phase-2 query.
-type elimVerdict struct {
-	trivial bool // reachability const-false: silently eliminated
-	r       *bv.Term
-	p1      bv.Result
-	negs    []*bv.Term
-	kept    []*UBCond
-	p2      bv.Result
-	coreIdx []int
+// verdict is what decide found. p1 and p2 stay Sat where their query
+// is not needed: phase 1 for an h of constant-true terms, phase 2 for
+// an empty ∆.
+type verdict struct {
+	p1, p2 bv.Result
+	negs   []*bv.Term // ∆
+	kept   []*UBCond  // kept[i] is the condition negs[i] assumes away
+	core   []int      // on a phase-2 Unsat: the unsat core, as indices into negs
 }
 
-// elimQueries issues the Fig. 5 solver queries for one block.
-func (st *funcState) elimQueries(b *ir.Block) elimVerdict {
-	v := elimVerdict{p1: bv.Sat, p2: bv.Sat}
-	v.r = st.enc.reachability(b)
-	if v.r.IsConstBool(false) {
-		v.trivial = true // trivially unreachable
+// decide is the one check of Def. 2 behind every report. A fragment e
+// is unstable when an optimizer that assumes the well-defined program
+// assumption ∆ may replace it with e', though the two differ under C*.
+// h states that they differ: [R] for elimination, where e is the
+// reachability R of block blk and e' is false (Fig. 5), and [e ≠ e', R]
+// for simplification, where e is a boolean expression at blk's
+// terminator and e' a constant or an algebraic reduction (Fig. 6).
+//
+// Phase 1 asks whether h is satisfiable without ∆. If it is not, a C*
+// compiler could make the replacement too, and e is not unstable. An h
+// whose first term is constant false is Unsat without a query, and one
+// of constant-true terms Sat. Phase 2 asks whether h ∧ ∆ is
+// satisfiable, with ∆ the wellDefinedTerms of the fragment: Unsat
+// means e is unstable, and the unsat core seeds its minimal UB set.
+func (st *funcState) decide(blk *ir.Block, uptoTerm bool, h ...*bv.Term) verdict {
+	v := verdict{p1: bv.Sat, p2: bv.Sat}
+	if h[0].IsConstBool(false) {
+		v.p1 = bv.Unsat
 		return v
 	}
-	// Phase 1 (without ∆): trivially unreachable code is removed
-	// silently, exactly as a C* compiler could. Constant-true
-	// reachability (common after word-level rewriting) needs no
-	// query at all.
-	if !v.r.IsConstBool(true) {
-		v.p1 = st.solver.SolveContext(st.ctx, v.r)
-		if v.p1 != bv.Sat {
+	if slices.ContainsFunc(h, func(t *bv.Term) bool { return !t.IsConstBool(true) }) {
+		if v.p1 = st.solver.SolveContext(st.ctx, h...); v.p1 != bv.Sat {
 			return v
 		}
 	}
-	// Phase 2 (with the well-defined program assumption).
-	v.negs, v.kept = st.wellDefinedTerms(b, false)
+	v.negs, v.kept = st.wellDefinedTerms(blk, uptoTerm)
 	if len(v.negs) == 0 {
 		return v
 	}
-	assumptions := append([]*bv.Term{v.r}, v.negs...)
-	v.p2, v.coreIdx = st.solver.SolveCoreContext(st.ctx, assumptions...)
+	var core []int
+	v.p2, core = st.solver.SolveCoreContext(st.ctx, slices.Concat(h, v.negs)...)
+	v.core = core[:0]
+	for _, i := range core {
+		if i >= len(h) {
+			v.core = append(v.core, i-len(h))
+		}
+	}
 	return v
+}
+
+// report builds the report of an unstable fragment at blk: cond for a
+// simplification, the block itself for an elimination (cond nil). Its
+// UB set is the minimal one of Fig. 8 under the hypothesis h; then a
+// fragment that a macro or an inlined function wrote is dropped (§4.2).
+func (st *funcState) report(algo Algo, blk *ir.Block, cond *ir.Value, simplified string, h *bv.Term, v verdict) *Report {
+	rep := &Report{Func: st.f.Name, Algo: algo, Simplified: simplified}
+	if cond == nil {
+		rep.Pos, rep.Origin = blockPos(blk), blockOrigin(blk)
+	} else {
+		rep.Pos, rep.Origin = condPos(blk, cond), condOrigin(blk, cond)
+	}
+	rep.UBConds = st.minimalUBSet(h, v)
+	if st.c.opts.FilterOrigins && rep.Origin != "" {
+		return nil
+	}
+	return rep
 }
 
 // eliminate implements Fig. 5 over basic blocks: report blocks that
@@ -422,7 +461,7 @@ func (st *funcState) elimQueries(b *ir.Block) elimVerdict {
 // budget exhaustion the output is that of the layout-order walk.
 func (st *funcState) eliminate() []*Report {
 	var out []*Report
-	verdicts := make(map[*ir.Block]elimVerdict, len(st.f.Blocks))
+	verdicts := make([]verdict, len(st.f.Blocks))
 	for i := len(st.f.Blocks) - 1; i >= 0; i-- {
 		b := st.f.Blocks[i]
 		if b == st.f.Entry {
@@ -431,32 +470,27 @@ func (st *funcState) eliminate() []*Report {
 		if st.ctx.Err() != nil {
 			return nil // cancelled: CheckFunc discards the results
 		}
-		verdicts[b] = st.elimQueries(b)
+		verdicts[i] = st.decide(b, false, st.enc.reachability(b))
 	}
-	for _, b := range st.f.Blocks {
+	for i, b := range st.f.Blocks {
 		if st.ctx.Err() != nil {
 			return out // cancelled: partial results, discarded by CheckFunc
 		}
-		if b == st.f.Entry {
+		v := verdicts[i]
+		if b == st.f.Entry || v.p1 != bv.Unsat && v.p2 != bv.Unsat {
 			continue
 		}
-		v := verdicts[b]
-		if v.trivial || v.p1 == bv.Unsat {
-			st.eliminated[b] = true
-			continue
+		st.eliminated[i] = true
+		if v.p1 == bv.Unsat {
+			continue // unreachable under C* too: removed silently
 		}
-		if v.p1 == bv.Unknown || len(v.negs) == 0 || v.p2 != bv.Unsat {
-			continue
-		}
-		r, negs, kept, coreIdx := v.r, v.negs, v.kept, v.coreIdx
-		st.eliminated[b] = true
 		// Only the frontier of an eliminated region is the unstable
 		// code; blocks that are unreachable solely because all their
 		// predecessors were eliminated are consequences of the same
 		// instability and would double-count it.
 		downstream := len(b.Preds) > 0
 		for _, p := range b.Preds {
-			if !st.eliminated[p] {
+			if !st.eliminated[p.ID] {
 				downstream = false
 				break
 			}
@@ -464,33 +498,31 @@ func (st *funcState) eliminate() []*Report {
 		if downstream {
 			continue
 		}
-		rep := &Report{
-			Func:   st.f.Name,
-			Algo:   AlgoElimination,
-			Pos:    blockPos(b),
-			Origin: blockOrigin(b),
+		if rep := st.report(AlgoElimination, b, nil, "", st.enc.reachability(b), v); rep != nil {
+			out = append(out, rep)
 		}
-		rep.UBConds = st.minimalUBSet(r, negs, kept, coreIdx, 1)
-		if st.c.opts.FilterOrigins && rep.Origin != "" {
-			continue // compiler-generated code (paper §4.2)
-		}
-		out = append(out, rep)
 	}
 	return out
+}
+
+// folded reports whether elimination removed a successor of br, a
+// block that ends in a conditional branch.
+func (st *funcState) folded(br *ir.Block) bool {
+	return st.eliminated[br.Succs[0].ID] || st.eliminated[br.Succs[1].ID]
 }
 
 // simplify implements Fig. 6 on branch conditions, first with the
 // boolean oracle, then with the algebra oracle (paper §4.4 order).
 func (st *funcState) simplify() []*Report {
-	var out []*Report
 	type condSite struct {
 		blk  *ir.Block
 		cond *ir.Value
 	}
 	var sites []condSite
-	seen := map[*ir.Value]bool{}
+	n := valueIDBound(st.f)
+	seen := make([]bool, n) // by Value.ID
 	for _, b := range st.f.Blocks {
-		if st.eliminated[b] {
+		if st.eliminated[b.ID] {
 			continue
 		}
 		// Branch conditions — unless elimination already folded the
@@ -498,8 +530,8 @@ func (st *funcState) simplify() []*Report {
 		// the condition would double-count the same unstable code.
 		if b.Term != nil && b.Term.Op == ir.OpCondBr {
 			cond := b.Term.Args[0]
-			seen[cond] = true
-			if !st.eliminated[b.Succs[0]] && !st.eliminated[b.Succs[1]] {
+			seen[cond.ID] = true
+			if !st.folded(b) {
 				sites = append(sites, condSite{b, cond})
 			}
 		}
@@ -510,36 +542,69 @@ func (st *funcState) simplify() []*Report {
 	// only flows into branches that elimination already folded are the
 	// same unstable check and are not re-reported.
 	uses := ir.NewDefUse(st.f)
+	visited := make([]bool, n) // by Value.ID: reached by the current walk
+	var walk []*ir.Value       // the values the current walk reached, in order
+	// sinksOnlyToFoldedBranches reports whether every transitive
+	// consumer of boolean value v is a conditional branch that
+	// elimination folded. It visits each value reachable through
+	// width-1 users once: the property holds at every such value or
+	// fails at one, whatever the path that reaches it.
+	sinksOnlyToFoldedBranches := func(v *ir.Value) bool {
+		for _, x := range walk {
+			visited[x.ID] = false
+		}
+		walk = append(walk[:0], v)
+		visited[v.ID] = true
+		for i := 0; i < len(walk); i++ {
+			us := uses.Users(walk[i])
+			if len(us) == 0 {
+				return false // dead value: treat as independent
+			}
+			for _, u := range us {
+				switch {
+				case u.Op == ir.OpCondBr:
+					if !st.folded(u.Block) {
+						return false // feeds a live branch: the branch site covers it
+					}
+				case u.Width != 1:
+					return false // escapes into non-boolean computation
+				case !visited[u.ID]:
+					visited[u.ID] = true
+					walk = append(walk, u)
+				}
+			}
+		}
+		return true
+	}
 	for _, b := range st.f.Blocks {
-		if st.eliminated[b] {
+		if st.eliminated[b.ID] {
 			continue
 		}
 		for _, v := range b.Instrs {
-			if v.Op == ir.OpICmp && !seen[v] && !st.sinksOnlyToFoldedBranches(v, uses, map[*ir.Value]bool{}) {
-				seen[v] = true
+			if v.Op == ir.OpICmp && !seen[v.ID] && !sinksOnlyToFoldedBranches(v) {
+				seen[v.ID] = true
 				sites = append(sites, condSite{b, v})
 			}
 		}
 	}
+	var out []*Report
 	// Boolean oracle.
+	reported := make([]bool, n) // by Value.ID
 	for _, s := range sites {
 		if st.ctx.Err() != nil {
 			return out
 		}
 		if rep := st.simplifyBool(s.blk, s.cond); rep != nil {
 			out = append(out, rep)
+			reported[s.cond.ID] = true
 		}
 	}
 	// Algebra oracle, on conditions the boolean oracle left alone.
-	reported := map[*ir.Value]bool{}
-	for _, r := range out {
-		reported[r.cond] = true
-	}
 	for _, s := range sites {
 		if st.ctx.Err() != nil {
 			return out
 		}
-		if reported[s.cond] {
+		if reported[s.cond.ID] {
 			continue
 		}
 		if rep := st.simplifyAlgebra(s.blk, s.cond); rep != nil {
@@ -549,32 +614,21 @@ func (st *funcState) simplify() []*Report {
 	return out
 }
 
-// sinksOnlyToFoldedBranches reports whether every transitive consumer
-// of boolean value v is a conditional branch one of whose successors
-// elimination removed — i.e. the instability was already reported.
-func (st *funcState) sinksOnlyToFoldedBranches(v *ir.Value, uses ir.DefUse, visiting map[*ir.Value]bool) bool {
-	if visiting[v] {
-		return true // cycle through a phi: no independent sink
-	}
-	visiting[v] = true
-	defer delete(visiting, v)
-	us := uses.Users(v)
-	if len(us) == 0 {
-		return false // dead value: treat as independent
-	}
-	for _, u := range us {
-		switch {
-		case u.Op == ir.OpCondBr:
-			if !st.eliminated[u.Block.Succs[0]] && !st.eliminated[u.Block.Succs[1]] {
-				return false // feeds a live branch: the branch site covers it
+// valueIDBound returns the length of a slice indexed by the Value.ID
+// of f's values and their operands.
+func valueIDBound(f *ir.Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		for v := range b.All() {
+			n = max(n, v.ID)
+			for _, a := range v.Args {
+				if a != nil {
+					n = max(n, a.ID)
+				}
 			}
-		case u.Width != 1:
-			return false // escapes into non-boolean computation
-		case !st.sinksOnlyToFoldedBranches(u, uses, visiting):
-			return false
 		}
 	}
-	return true
+	return n + 1
 }
 
 // simplifyBool proposes true and false for a branch condition
@@ -585,40 +639,16 @@ func (st *funcState) simplifyBool(blk *ir.Block, cond *ir.Value) *Report {
 		return nil // already constant: trivially simplified
 	}
 	r := st.enc.reachability(blk)
-	negs, kept := st.wellDefinedTerms(blk, true)
+	st.wellDefinedTerms(blk, true) // ∆'s terms come before the proposals'
 	b := st.enc.b
 	for _, proposal := range []bool{true, false} {
 		ne := b.Xor(e, b.Bool(proposal)) // e(x) ≠ e'(x)
-		// Phase 1: trivially equivalent without ∆ — a plain compiler
-		// could fold it; not unstable. Both constant verdicts are
-		// decided here without a solver query.
-		if ne.IsConstBool(false) {
+		v := st.decide(blk, true, ne, r)
+		if v.p1 != bv.Sat {
 			return nil
 		}
-		if !(ne.IsConstBool(true) && r.IsConstBool(true)) {
-			if res := st.solver.SolveContext(st.ctx, ne, r); res != bv.Sat {
-				return nil
-			}
-		}
-		if len(negs) == 0 {
-			continue
-		}
-		assumptions := append([]*bv.Term{ne, r}, negs...)
-		res, coreIdx := st.solver.SolveCoreContext(st.ctx, assumptions...)
-		if res == bv.Unsat {
-			rep := &Report{
-				Func:       st.f.Name,
-				Algo:       AlgoSimplifyBool,
-				Pos:        condPos(blk, cond),
-				Origin:     condOrigin(blk, cond),
-				Simplified: boolName(proposal),
-				cond:       cond,
-			}
-			rep.UBConds = st.minimalUBSet(b.And(ne, r), negs, kept, coreIdx, 2)
-			if st.c.opts.FilterOrigins && rep.Origin != "" {
-				return nil
-			}
-			return rep
+		if v.p2 == bv.Unsat {
+			return st.report(AlgoSimplifyBool, blk, cond, boolName(proposal), b.And(ne, r), v)
 		}
 	}
 	return nil
@@ -648,40 +678,15 @@ func (st *funcState) simplifyAlgebra(blk *ir.Block, cond *ir.Value) *Report {
 		return nil
 	}
 	b := st.enc.b
-	e := st.enc.value(cond)
-	ne := b.Xor(e, prop)
+	ne := b.Xor(st.enc.value(cond), prop)
 	if ne.IsConstBool(false) {
-		return nil // syntactically identical already
+		return nil // syntactically identical already: reachability is not built
 	}
 	r := st.enc.reachability(blk)
-	// Phase 1, with the same constant short-circuit as simplifyBool.
-	if !(ne.IsConstBool(true) && r.IsConstBool(true)) {
-		if res := st.solver.SolveContext(st.ctx, ne, r); res != bv.Sat {
-			return nil
-		}
+	if v := st.decide(blk, true, ne, r); v.p2 == bv.Unsat {
+		return st.report(AlgoSimplifyAlgebra, blk, cond, desc, b.And(ne, r), v)
 	}
-	negs, kept := st.wellDefinedTerms(blk, true)
-	if len(negs) == 0 {
-		return nil
-	}
-	assumptions := append([]*bv.Term{ne, r}, negs...)
-	res, coreIdx := st.solver.SolveCoreContext(st.ctx, assumptions...)
-	if res != bv.Unsat {
-		return nil
-	}
-	rep := &Report{
-		Func:       st.f.Name,
-		Algo:       AlgoSimplifyAlgebra,
-		Pos:        condPos(blk, cond),
-		Origin:     condOrigin(blk, cond),
-		Simplified: desc,
-		cond:       cond,
-	}
-	rep.UBConds = st.minimalUBSet(b.And(ne, r), negs, kept, coreIdx, 2)
-	if st.c.opts.FilterOrigins && rep.Origin != "" {
-		return nil
-	}
-	return rep
+	return nil
 }
 
 // algebraProposal builds e' for cmp(sum, base) where sum = base + off:
@@ -765,63 +770,47 @@ func offName(v *ir.Value) string {
 
 // minimalUBSet implements Fig. 8: mask each UB condition out of the
 // query; the ones whose removal makes it satisfiable are essential.
-// The solver's unsat core prunes the candidate set first. coreIdx
-// indexes the caller's assumption vector, in which negs begin at
-// offset.
-func (st *funcState) minimalUBSet(h *bv.Term, negs []*bv.Term, conds []*UBCond, coreIdx []int, offset int) []UBRef {
-	refs := func(idx []int) []UBRef {
-		var out []UBRef
-		seen := map[UBRef]bool{}
-		for _, i := range idx {
-			// The H term occupies assumption slots before negs in the
-			// callers' SolveCore; normalize indices here.
-			r := UBRef{Kind: conds[i].Kind, Pos: conds[i].Pos}
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
-		}
-		sort.Slice(out, func(a, b int) bool {
-			if out[a].Pos.Line != out[b].Pos.Line {
-				return out[a].Pos.Line < out[b].Pos.Line
-			}
-			return out[a].Kind < out[b].Kind
-		})
-		return out
-	}
-	// Candidates: indices into negs, shifted out of the caller's
-	// assumption vector.
-	var candidates []int
-	for _, i := range coreIdx {
-		if i < offset {
-			continue // belongs to the H terms
-		}
-		candidates = append(candidates, i-offset)
-	}
+// The unsat core of v prunes the candidate set first.
+func (st *funcState) minimalUBSet(h *bv.Term, v verdict) []UBRef {
+	candidates := v.core
 	if len(candidates) == 0 {
-		for i := range negs {
+		for i := range v.negs {
 			candidates = append(candidates, i)
 		}
 	}
-	if !st.c.opts.MinUBSets {
-		return refs(candidates)
-	}
-	var minimal []int
-	for _, masked := range candidates {
-		assumptions := []*bv.Term{h}
-		for _, j := range candidates {
-			if j != masked {
-				assumptions = append(assumptions, negs[j])
+	if st.c.opts.MinUBSets {
+		var minimal []int
+		for _, masked := range candidates {
+			assumptions := []*bv.Term{h}
+			for _, j := range candidates {
+				if j != masked {
+					assumptions = append(assumptions, v.negs[j])
+				}
+			}
+			if st.solver.SolveContext(st.ctx, assumptions...) == bv.Sat {
+				minimal = append(minimal, masked)
 			}
 		}
-		if st.solver.SolveContext(st.ctx, assumptions...) == bv.Sat {
-			minimal = append(minimal, masked)
+		if len(minimal) > 0 {
+			candidates = minimal
 		}
 	}
-	if len(minimal) == 0 {
-		minimal = candidates
+	var out []UBRef
+	seen := map[UBRef]bool{}
+	for _, i := range candidates {
+		r := UBRef{Kind: v.kept[i].Kind, Pos: v.kept[i].Pos}
+		if !seen[r] {
+			seen[r] = true
+			out = append(out, r)
+		}
 	}
-	return refs(minimal)
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Pos.Line != out[b].Pos.Line {
+			return out[a].Pos.Line < out[b].Pos.Line
+		}
+		return out[a].Kind < out[b].Kind
+	})
+	return out
 }
 
 // blockPos picks the report position for an eliminated block.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +13,17 @@ import (
 
 func analyze(t *testing.T, src string, opts Options) []*Report {
 	t.Helper()
-	f, err := cc.Parse("test.c", src)
+	reports, err := New(opts).CheckProgram(context.Background(), buildProgram(t, "test.c", src))
+	if err != nil {
+		t.Fatalf("CheckProgram: %v", err)
+	}
+	return reports
+}
+
+// buildProgram runs the frontend and the IR builder on src.
+func buildProgram(t *testing.T, name, src string) *ir.Program {
+	t.Helper()
+	f, err := cc.Parse(name, src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -23,12 +34,7 @@ func analyze(t *testing.T, src string, opts Options) []*Report {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	c := New(opts)
-	reports, err := c.CheckProgram(context.Background(), p)
-	if err != nil {
-		t.Fatalf("CheckProgram: %v", err)
-	}
-	return reports
+	return p
 }
 
 func testOpts() Options {
@@ -544,5 +550,184 @@ func TestClassify(t *testing.T) {
 	discardsNone := func(k UBKind) bool { return false }
 	if Classify(ptr, discardsNone) != CategoryTimeBomb {
 		t.Errorf("not-yet-discarded should be a time bomb")
+	}
+}
+
+// TestFragmentDecisions pins what each algorithm decides and reports,
+// down to the number of solver queries of the whole check: a report
+// with its minimal UB set, the same report with MinUBSets off (no
+// masking queries), and its FilterOrigins drop when a macro wrote the
+// fragment. It also pins the algebra oracle with the sum on either
+// side of the comparison, the boolean oracle answering on its second
+// proposal (false), and elimination reporting only the frontier of an
+// eliminated region.
+func TestFragmentDecisions(t *testing.T) {
+	const (
+		// Each addition may overflow; b < x needs both assumed away.
+		twoAdds = `
+int f(int x) {
+	int a = x + 1;
+	int b = a + 1;
+	if (b < x)
+		return -1;
+	return b;
+}
+`
+		twoAddsValue = `
+int f(int x) {
+	int a = x + 1;
+	int b = a + 1;
+	return b < x;
+}
+`
+		sumLeft = `
+int f(char *p, int n) {
+	return p + n < p;
+}
+`
+		bail = `
+#define BAIL(p) if (!(p)) return -1
+int f(int *p) {
+	int v = *p;
+	BAIL(p);
+	return v;
+}
+`
+		wraps = `
+#define WRAPS(x) ((x) + 1 < (x))
+int f(int x) {
+	return WRAPS(x);
+}
+`
+		past = `
+#define PAST(p, n) ((p) + (n) < (p))
+int f(char *p, int n) {
+	return PAST(p, n);
+}
+`
+	)
+	noMinSets := func(o *Options) { o.MinUBSets = false }
+	noFilter := func(o *Options) { o.FilterOrigins = false }
+	cases := []struct {
+		name    string
+		src     string
+		opts    func(*Options)
+		want    string // each report's String(), then its origin, if any
+		queries int64
+	}{
+		{name: "elimination/minimal", src: twoAdds, queries: 8, want: `test.c:6:11: unstable code in f [elimination]
+  due to undefined behavior:
+    signed integer overflow at test.c:3:12
+    signed integer overflow at test.c:4:12
+`},
+		{name: "elimination/no-min-sets", src: twoAdds, opts: noMinSets, queries: 6, want: `test.c:6:11: unstable code in f [elimination]
+  due to undefined behavior:
+    signed integer overflow at test.c:3:12
+    signed integer overflow at test.c:4:12
+`},
+		{name: "elimination/downstream", queries: 12, src: `
+int f(int x, int y) {
+	int r = 0;
+	if (x + 1 < x) {
+		r = 1;
+		if (y)
+			r = 2;
+	}
+	return r;
+}
+`, want: `test.c:5:7: unstable code in f [elimination]
+  due to undefined behavior:
+    signed integer overflow at test.c:4:8
+`},
+		{name: "elimination/filtered", src: bail, queries: 7},
+		{name: "elimination/unfiltered", src: bail, opts: noFilter, queries: 7, want: `test.c:5:2: unstable code in f [elimination]
+  due to undefined behavior:
+    null pointer dereference at test.c:4:10
+  origin: BAIL
+`},
+		{name: "bool/first-proposal", queries: 3, src: `
+int f(int *p, int x) {
+	int v = *p;
+	int w = x + 1;
+	return (p != 0) + v + w;
+}
+`, want: `test.c:5:12: unstable code in f [simplification (boolean oracle)] — simplifies to true
+  due to undefined behavior:
+    null pointer dereference at test.c:3:10
+`},
+		{name: "bool/second-proposal-minimal", src: twoAddsValue, queries: 6, want: `test.c:5:11: unstable code in f [simplification (boolean oracle)] — simplifies to false
+  due to undefined behavior:
+    signed integer overflow at test.c:3:12
+    signed integer overflow at test.c:4:12
+`},
+		{name: "bool/no-min-sets", src: twoAddsValue, opts: noMinSets, queries: 4, want: `test.c:5:11: unstable code in f [simplification (boolean oracle)] — simplifies to false
+  due to undefined behavior:
+    signed integer overflow at test.c:3:12
+    signed integer overflow at test.c:4:12
+`},
+		// Dropped after masking, the condition goes on to the algebra
+		// oracle: more queries than when it is kept.
+		{name: "bool/filtered", src: wraps, queries: 8},
+		{name: "bool/unfiltered", src: wraps, opts: noFilter, queries: 5, want: `test.c:4:9: unstable code in f [simplification (boolean oracle)] — simplifies to false
+  due to undefined behavior:
+    signed integer overflow at test.c:4:9
+  origin: WRAPS
+`},
+		{name: "algebra/sum-left", src: sumLeft, queries: 7, want: `test.c:3:15: unstable code in f [simplification (algebra oracle)] — simplifies to n < 0
+  due to undefined behavior:
+    pointer overflow at test.c:3:11
+`},
+		{name: "algebra/sum-right", queries: 7, src: `
+int f(char *p, int n) {
+	return p > p + n;
+}
+`, want: `test.c:3:11: unstable code in f [simplification (algebra oracle)] — simplifies to n < 0
+  due to undefined behavior:
+    pointer overflow at test.c:3:15
+`},
+		{name: "algebra/sum-right-mirrored", queries: 7, src: `
+int f(char *p, int n) {
+	return p < p + n;
+}
+`, want: `test.c:3:11: unstable code in f [simplification (algebra oracle)] — simplifies to 0 < n
+  due to undefined behavior:
+    pointer overflow at test.c:3:15
+`},
+		{name: "algebra/no-min-sets", src: sumLeft, opts: noMinSets, queries: 6, want: `test.c:3:15: unstable code in f [simplification (algebra oracle)] — simplifies to n < 0
+  due to undefined behavior:
+    pointer overflow at test.c:3:11
+`},
+		{name: "algebra/filtered", src: past, queries: 7},
+		{name: "algebra/unfiltered", src: past, opts: noFilter, queries: 7, want: `test.c:4:9: unstable code in f [simplification (algebra oracle)] — simplifies to n < 0
+  due to undefined behavior:
+    pointer overflow at test.c:4:9
+  origin: PAST
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions
+			if tc.opts != nil {
+				tc.opts(&opts)
+			}
+			c := New(opts)
+			reports, err := c.CheckProgram(context.Background(), buildProgram(t, "test.c", tc.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got strings.Builder
+			for _, r := range reports {
+				got.WriteString(r.String() + "\n")
+				if r.Origin != "" {
+					got.WriteString("  origin: " + r.Origin + "\n")
+				}
+			}
+			if got.String() != tc.want {
+				t.Errorf("reports:\n%s\nwant:\n%s", got.String(), tc.want)
+			}
+			if q := c.Stats().Queries; q != tc.queries {
+				t.Errorf("%d solver queries, want %d", q, tc.queries)
+			}
+		})
 	}
 }

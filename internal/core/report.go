@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/cc"
-	"repro/internal/ir"
 )
 
 // UBRef references one undefined-behavior condition in a report: its
@@ -29,8 +28,6 @@ type Report struct {
 	Simplified string // proposed e' for simplification reports
 	UBConds    []UBRef
 	Origin     string // macro/inline origin, "" for programmer-written
-
-	cond *ir.Value // internal: the simplified condition, for dedup
 }
 
 func (r *Report) String() string {

@@ -66,6 +66,13 @@
 #      cc.ParseTokens: a caller of those is a second, whole-file
 #      frontend beside the streamed one.
 #
+#   9. One fragment decision. Elimination and both simplification
+#      oracles decide their fragment with one two-query check of the
+#      paper's Def. 2 (decide in internal/core/checker.go), so
+#      `SolveCoreContext(` appears on exactly one line of non-test Go
+#      under internal/core. A second call is a second copy of the
+#      check, with its own phases and core offsets to drift apart.
+#
 # Usage:
 #   scripts/invariants.sh              # check the repository
 #   scripts/invariants.sh --self-test  # prove the checks can fail
@@ -342,6 +349,25 @@ check_one_streamed_frontend() {
 	done < <(go_sources "$root")
 	[ "$bad" -eq 0 ] || return 1
 	echo "invariants: ok: one streamed frontend"
+}
+
+# check_one_fragment_decision DIR — fail unless exactly one line of
+# non-test Go under DIR/internal/core calls SolveCoreContext(. Comment
+# lines do not count as calls.
+check_one_fragment_decision() {
+	local dir="$1/internal/core" lines n
+	if [ ! -d "$dir" ]; then
+		echo "invariants: FAIL: missing $dir" >&2
+		return 1
+	fi
+	lines="$(go_sources "$dir" | xargs -r grep -n 'SolveCoreContext(' /dev/null | grep -v ':[[:space:]]*//' || true)"
+	n="$(printf '%s' "$lines" | grep -c . || true)"
+	if [ "$n" -ne 1 ]; then
+		echo "invariants: FAIL: SolveCoreContext( on $n lines of non-test Go under internal/core, want exactly 1 (one fragment decision):" >&2
+		printf '%s\n' "$lines" >&2
+		return 1
+	fi
+	echo "invariants: ok: one fragment decision"
 }
 
 self_test() {
@@ -683,10 +709,39 @@ self_test() {
 		pass=1
 	fi
 
+	# One SolveCoreContext call under internal/core passes; a second
+	# one, in another copy of the check, must fail.
+	mkdir -p "$tmp/m/internal/core"
+	cat >"$tmp/m/internal/core/checker.go" <<-'EOF'
+		package core
+
+		// decide is the only caller of SolveCoreContext(.
+		func (st *funcState) decide(h []*bv.Term) verdict {
+			res, core := st.solver.SolveCoreContext(st.ctx, h...)
+			return verdict{res, core}
+		}
+	EOF
+	if ! check_one_fragment_decision "$tmp/m" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: the one fragment decision rejected" >&2
+		pass=1
+	fi
+	cat >"$tmp/m/internal/core/algebra.go" <<-'EOF'
+		package core
+
+		func (st *funcState) simplifyAlgebra(h []*bv.Term) bool {
+			res, _ := st.solver.SolveCoreContext(st.ctx, h...)
+			return res == bv.Unsat
+		}
+	EOF
+	if check_one_fragment_decision "$tmp/m" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: a second SolveCoreContext call not detected" >&2
+		pass=1
+	fi
+
 	if [ "$pass" -ne 0 ]; then
 		return 1
 	fi
-	echo "invariants: self-test ok (20 cases)"
+	echo "invariants: self-test ok (22 cases)"
 }
 
 if [ "${1:-}" = "--self-test" ]; then
@@ -702,3 +757,4 @@ check_one_pipeline "$ROOT"
 check_shipped_options "$ROOT"
 check_one_ssa_construction "$ROOT"
 check_one_streamed_frontend "$ROOT"
+check_one_fragment_decision "$ROOT"
