@@ -71,7 +71,7 @@ fleet-race:
 
 # The SSA differential gate under the race detector: byte identity of
 # sweep output with Options.SSA across worker counts, the mem2reg /
-# value-numbering / dead-store unit and exec-differential tests, and
+# dead-store unit and exec-differential tests, and
 # the SSA fuzz seed corpus.
 ssa-differential:
 	$(GO) test -race -run 'SSA' ./internal/...
@@ -117,9 +117,10 @@ bench:
 # against lexing the whole file, preprocessing it and parsing the
 # result: the same file or the same error. FuzzFoldMatchesExec checks
 # the IR constant folder that SCCP and the Fig. 4 optimizer share
-# against the concrete evaluator, per operation at widths 1 to 64. The next four are the SSA differential oracles: end-to-end byte identity of checker output
-# keyed on SSASharpened, plus per-pass execution equivalence for SCCP,
-# loop-invariant UB hoisting, and cross-block GVN. The last,
+# against the concrete evaluator, per operation at widths 1 to 64. The
+# next three are the SSA differential oracles: end-to-end byte identity
+# of checker output keyed on SSASharpened, plus per-pass execution
+# equivalence for SCCP and loop-invariant UB hoisting. The last,
 # FuzzBuildPromotionDifferential, checks SSA construction: ir.Build,
 # which promotes the locals whose address is never taken, against the
 # build that leaves every local in memory.
@@ -138,7 +139,6 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSSADifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzSCCPDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzHoistDifferential$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzGVNDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzBuildPromotionDifferential$$' -fuzztime $(FUZZTIME)
 
 # End-to-end service smoke: build stackd + the stack CLI, start two

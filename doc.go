@@ -86,18 +86,18 @@
 // alias-forwarding through the phis that carry a slot's address
 // between blocks); sparse conditional constant propagation
 // folds values and branch conditions proved constant by the
-// optimistic executable-edge iteration; global value numbering merges
-// structurally identical pure computations within a block and into
-// dominating blocks, without moving any report position; dead-store
-// elimination drops stores overwritten before any load or call; and
+// optimistic executable-edge iteration; dead-store elimination drops
+// stores overwritten before any load or call; and
 // loop-invariant UB hoisting lifts UB-carrying computations out of
 // natural loops into the preheader. Promoted values are immutable,
 // so the bit-vector layer hash-conses duplicated computation chains
-// instead of re-blasting them per opaque load — Stats gains
-// promotedAllocas, eliminatedStores, gvnHits, sccpFoldedValues,
-// sccpFoldedBranches, sccpUnreachableBlocks, crossBlockGvnHits,
-// hoistedUbTerms, and ssaSharpened (omitted from the
-// JSON trailer when zero, keeping legacy bytes unchanged). The default
+// instead of re-blasting them per opaque load; that hash-consing is
+// also the only value numbering, so no pass merges IR values. Stats
+// gains promotedAllocas, eliminatedStores, sccpFoldedValues,
+// sccpFoldedBranches, sccpUnreachableBlocks, hoistedUbTerms, and
+// ssaSharpened (omitted from the JSON trailer when zero, keeping
+// legacy bytes unchanged; gvnHits and crossBlockGvnHits are always
+// zero and stay only because encodings grow additively). The default
 // is differentially gated: sweep output with SSA on is byte-identical
 // to the legacy pipeline on the archive corpus (raced across worker
 // counts), per-pass fuzz oracles enforce each pass's contract on

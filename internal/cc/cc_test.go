@@ -276,21 +276,24 @@ func TestPreprocessNestedArgumentsBounded(t *testing.T) {
 	}
 }
 
-// TestPreprocessChainDepthBounded: 200,000 object-like macros, each
-// expanding to the next, nest expansions 200,000 deep. The expansion
-// nesting bound rejects the chain at link 257. Only expansion is
-// timed; tokenizing the 4.6 MB source is linear and untouched by it.
+// TestPreprocessChainDepthBounded: a chain of object-like macros, each
+// expanding to the next, nests expansions as deep as it is long. The
+// expansion nesting bound rejects it at link 257, A256: the expander
+// has charged one step for each of the maxMacroDepth names A1 to A256
+// it rescanned, whether the chain has 257 links or 200,000.
 func TestPreprocessChainDepthBounded(t *testing.T) {
-	toks, err := Tokenize("chain.c", defineChain(200000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp := NewPreprocessor()
-	start := time.Now()
-	_, err = pp.run(toks, pp.expandSource)
-	wantNestingError(t, err, "macro expansion nested deeper than %d")
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("rejecting the chain took %v", d)
+	for _, n := range []int{maxMacroDepth + 1, 200000} {
+		toks, err := Tokenize("chain.c", defineChain(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp := NewPreprocessor()
+		_, err = pp.run(toks, pp.expandSource)
+		wantNestingError(t, err, "macro expansion nested deeper than %d")
+		if pp.expansions != maxMacroDepth {
+			t.Fatalf("%d links: charged %d expansion steps before the nesting error, want %d",
+				n, pp.expansions, maxMacroDepth)
+		}
 	}
 	// Both bounds admit nesting up to maxMacroDepth itself.
 	for _, src := range []string{nestedCalls(maxMacroDepth), defineChain(maxMacroDepth)} {

@@ -218,7 +218,8 @@ func reuseBomb() string {
 // FuzzPreprocessMatchesReference: the single-buffer expander produces
 // the reference expander's tokens (kind, text, position and origin),
 // error and budget charge on any input, except where it rejects the
-// input at a nesting bound that the reference lacks.
+// input at a nesting bound that the reference lacks. Charges are
+// compared only on input that lexes.
 func FuzzPreprocessMatchesReference(f *testing.F) {
 	for _, s := range slices.Concat(fuzzSeeds, depthSeeds) {
 		f.Add(s)
@@ -252,7 +253,10 @@ func FuzzPreprocessMatchesReference(f *testing.F) {
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("error %v, reference %v", err, refErr)
 		}
-		if pp.expansions != ref.expansions {
+		// The reference tokenizes the whole file before it expands
+		// anything, so a lexer error charges it nothing, while the
+		// streamed expander has charged the expansions before the error.
+		if _, lexErr := Tokenize("fuzz.c", src); lexErr == nil && pp.expansions != ref.expansions {
 			t.Fatalf("charged %d expansion steps, reference %d", pp.expansions, ref.expansions)
 		}
 		if len(got) != len(want) {

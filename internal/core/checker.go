@@ -70,11 +70,10 @@ type Options struct {
 	// SSA runs the pruned-SSA pass stack (ir.RunSSAPasses: mem2reg
 	// promotion of the address-taken locals whose address does not
 	// escape, which ir.Build leaves in memory, sparse conditional constant
-	// propagation, dominator-ordered value numbering, dead-store
-	// elimination, loop-invariant UB hoisting) over each function
-	// before UB-condition insertion and encoding. Either way the IR is
-	// in SSA form: ir.Build already promotes every local whose address
-	// is never taken. On since
+	// propagation, dead-store elimination, loop-invariant UB hoisting)
+	// over each function before UB-condition insertion and encoding.
+	// Either way the IR is in SSA form: ir.Build already promotes
+	// every local whose address is never taken. On since
 	// PR 10 (set by DefaultOptions); the legacy pipeline remains the
 	// differential reference behind SSA=false. The passes are
 	// engineered so that sweep output is byte-identical to the legacy
@@ -256,11 +255,9 @@ func (c *Checker) newFuncState(ctx context.Context, f *ir.Func, bld *bv.Builder)
 		ps := ir.RunSSAPasses(f, dom)
 		c.stats.PromotedAllocas += int64(ps.PromotedAllocas)
 		c.stats.EliminatedStores += int64(ps.EliminatedStores)
-		c.stats.GVNHits += int64(ps.GVNHits)
 		c.stats.SCCPFoldedValues += int64(ps.SCCPFoldedValues)
 		c.stats.SCCPFoldedBranches += int64(ps.SCCPFoldedBranches)
 		c.stats.SCCPUnreachableBlocks += int64(ps.SCCPUnreachableBlocks)
-		c.stats.CrossBlockGVNHits += int64(ps.CrossBlockGVNHits)
 		c.stats.HoistedUBTerms += int64(ps.HoistedUBTerms)
 		if ps.Sharpening() {
 			c.stats.SSASharpened++
@@ -588,15 +585,19 @@ func (st *funcState) simplify() []*Report {
 		}
 	}
 	var out []*Report
-	// Boolean oracle.
-	reported := make([]bool, n) // by Value.ID
+	// Boolean oracle. A condition it proves simplifiable is decided
+	// whether FilterOrigins kept the report or dropped it: the algebra
+	// oracle would report at the same origin, so its report would be
+	// dropped too.
+	decided := make([]bool, n) // by Value.ID
 	for _, s := range sites {
 		if st.ctx.Err() != nil {
 			return out
 		}
-		if rep := st.simplifyBool(s.blk, s.cond); rep != nil {
+		rep, ok := st.simplifyBool(s.blk, s.cond)
+		decided[s.cond.ID] = ok
+		if rep != nil {
 			out = append(out, rep)
-			reported[s.cond.ID] = true
 		}
 	}
 	// Algebra oracle, on conditions the boolean oracle left alone.
@@ -604,7 +605,7 @@ func (st *funcState) simplify() []*Report {
 		if st.ctx.Err() != nil {
 			return out
 		}
-		if reported[s.cond.ID] {
+		if decided[s.cond.ID] {
 			continue
 		}
 		if rep := st.simplifyAlgebra(s.blk, s.cond); rep != nil {
@@ -632,11 +633,12 @@ func valueIDBound(f *ir.Func) int {
 }
 
 // simplifyBool proposes true and false for a branch condition
-// (paper §3.2.3, boolean oracle).
-func (st *funcState) simplifyBool(blk *ir.Block, cond *ir.Value) *Report {
+// (paper §3.2.3, boolean oracle). It reports whether a proposal held
+// (phase 2 Unsat), and the report, nil when FilterOrigins dropped it.
+func (st *funcState) simplifyBool(blk *ir.Block, cond *ir.Value) (*Report, bool) {
 	e := st.enc.value(cond)
 	if e.Op() == bv.OpConst {
-		return nil // already constant: trivially simplified
+		return nil, false // already constant: trivially simplified
 	}
 	r := st.enc.reachability(blk)
 	st.wellDefinedTerms(blk, true) // ∆'s terms come before the proposals'
@@ -645,13 +647,13 @@ func (st *funcState) simplifyBool(blk *ir.Block, cond *ir.Value) *Report {
 		ne := b.Xor(e, b.Bool(proposal)) // e(x) ≠ e'(x)
 		v := st.decide(blk, true, ne, r)
 		if v.p1 != bv.Sat {
-			return nil
+			return nil, false
 		}
 		if v.p2 == bv.Unsat {
-			return st.report(AlgoSimplifyBool, blk, cond, boolName(proposal), b.And(ne, r), v)
+			return st.report(AlgoSimplifyBool, blk, cond, boolName(proposal), b.And(ne, r), v), true
 		}
 	}
-	return nil
+	return nil, false
 }
 
 func boolName(v bool) string {
@@ -743,8 +745,8 @@ func (st *funcState) algebraProposal(cond, sum, base *ir.Value, swapped bool) (*
 }
 
 // sameValue reports whether a and b are one value: the same value, or
-// constants of one width and value, which value numbering may or may
-// not have merged.
+// constants of one width and value, which the IR keeps as separate
+// values and the bv builder interns as one term.
 func sameValue(a, b *ir.Value) bool {
 	if a == b {
 		return true

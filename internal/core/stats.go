@@ -60,19 +60,20 @@ type Stats struct {
 	// SSA pass effort (all zero unless Options.SSA): PromotedAllocas
 	// counts address-taken variables mem2reg rewrote into SSA values,
 	// EliminatedStores counts stores deleted by promotion and dead-store
-	// elimination, GVNHits counts values merged into a structurally
-	// identical representative in the same block, SCCPFoldedValues
-	// counts instructions sparse conditional constant propagation
-	// transmuted to constants, SCCPFoldedBranches counts branch
-	// conditions it proved constant, SCCPUnreachableBlocks counts blocks
-	// with no executable in-edge, CrossBlockGVNHits counts values merged
-	// into a representative in a dominating block, HoistedUBTerms counts
-	// UB-carrying instructions hoisted out of loop headers.
-	// DomOrderedSkips is always zero and kept only so that the encodings
-	// stay additive: it counted elimination queries skipped because a
-	// dominated block's satisfiable verdict implied them, and those
-	// queries are now answered from the session's stored assignment
-	// (WitnessHits).
+	// elimination, SCCPFoldedValues counts instructions sparse
+	// conditional constant propagation transmuted to constants,
+	// SCCPFoldedBranches counts branch conditions it proved constant,
+	// SCCPUnreachableBlocks counts blocks with no executable in-edge,
+	// HoistedUBTerms counts UB-carrying instructions hoisted out of loop
+	// headers.
+	// GVNHits, CrossBlockGVNHits and DomOrderedSkips are always zero and
+	// kept only so that the encodings stay additive. The first two
+	// counted values an IR value-numbering pass merged in the same block
+	// and into a dominating block; the bv builder's hash-consing now
+	// makes every such merge (CacheHits). DomOrderedSkips counted
+	// elimination queries skipped because a dominated block's
+	// satisfiable verdict implied them, and those queries are now
+	// answered from the session's stored assignment (WitnessHits).
 	PromotedAllocas       int64 `json:"promotedAllocas,omitempty" prom:"stackd_solver_promoted_allocas_total" help:"Allocas promoted to SSA values (WithSSA)."`
 	EliminatedStores      int64 `json:"eliminatedStores,omitempty" prom:"stackd_solver_eliminated_stores_total" help:"Stores removed by SSA passes (WithSSA)."`
 	GVNHits               int64 `json:"gvnHits,omitempty" prom:"stackd_solver_gvn_hits_total" help:"Values merged by value numbering (WithSSA)."`

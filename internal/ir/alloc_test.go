@@ -9,7 +9,7 @@ import (
 
 // straightLine returns the source of f, one block of about n values:
 // a chain of statements over two parameters, each with a repeated
-// subexpression for GVN to merge and a constant sum for SCCP to fold.
+// subexpression and a constant sum for SCCP to fold.
 func straightLine(n int) string {
 	var b strings.Builder
 	b.WriteString("unsigned f(unsigned x, unsigned y) {\n\tunsigned k = 5u;\n\tunsigned h = x;\n")
@@ -48,25 +48,17 @@ func passAllocs(t *testing.T, src string, pass func(*Func, *DomTree)) (allocs fl
 	return allocs, values
 }
 
-// TestSSAPassAllocsDoNotGrowWithValues: SCCP and GVN size their state
-// once per call from the function's ID counts, so a function ten
-// times longer costs no more allocations.
+// TestSSAPassAllocsDoNotGrowWithValues: SCCP sizes its state once per
+// call from the function's ID counts, so a function ten times longer
+// costs no more allocations.
 func TestSSAPassAllocsDoNotGrowWithValues(t *testing.T) {
-	passes := []struct {
-		name string
-		run  func(*Func, *DomTree)
-	}{
-		{"SCCP", func(f *Func, _ *DomTree) { SCCP(f) }},
-		{"GVN", func(f *Func, dom *DomTree) { GVN(f, dom) }},
-	}
-	for _, p := range passes {
-		small, n := passAllocs(t, straightLine(200), p.run)
-		large, m := passAllocs(t, straightLine(2000), p.run)
-		t.Logf("%s: %.0f allocs at %d values, %.0f at %d", p.name, small, n, large, m)
-		if large > small {
-			t.Errorf("%s: %.0f allocs at %d values, %.0f at %d: allocations grow with the function",
-				p.name, small, n, large, m)
-		}
+	sccp := func(f *Func, _ *DomTree) { SCCP(f) }
+	small, n := passAllocs(t, straightLine(200), sccp)
+	large, m := passAllocs(t, straightLine(2000), sccp)
+	t.Logf("SCCP: %.0f allocs at %d values, %.0f at %d", small, n, large, m)
+	if large > small {
+		t.Errorf("SCCP: %.0f allocs at %d values, %.0f at %d: allocations grow with the function",
+			small, n, large, m)
 	}
 }
 

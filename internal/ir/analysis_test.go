@@ -2,133 +2,6 @@ package ir
 
 import "testing"
 
-func TestGVNMergesDuplicateArithmetic(t *testing.T) {
-	src := `
-int f(int a, int b) {
-	int x = (a + b) * 3;
-	int y = (a + b) * 3;
-	return x - y;
-}
-`
-	execDiff(t, src, "f", [][]uint64{{1, 2}, {7, 9}, {0, 0}}, func(f *Func) {
-		if hits, _ := GVN(f, ComputeDom(f)); hits < 2 {
-			t.Errorf("GVN hits = %d, want >= 2 (add and mul each duplicated)", hits)
-		}
-	})
-	f := fn(t, build(t, src), "f")
-	GVN(f, ComputeDom(f))
-	if n := countOp(f, OpAdd); n != 1 {
-		t.Errorf("%d adds remain, want 1", n)
-	}
-	if n := countOp(f, OpMul); n != 1 {
-		t.Errorf("%d muls remain, want 1", n)
-	}
-}
-
-// TestGVNChainsCongruence: renumbering operands before hashing closes
-// congruence chains — the second mul only merges because the second
-// add was already renumbered to the first.
-func TestGVNChainsCongruence(t *testing.T) {
-	src := `
-int f(int a, int b, int c) {
-	int x = (a + b) * c;
-	int y = (a + b) * c;
-	int z = (a + b) * c;
-	return x + y + z;
-}
-`
-	f := fn(t, build(t, src), "f")
-	adds := countOp(f, OpAdd)
-	GVN(f, ComputeDom(f))
-	// Three duplicated (a+b) collapse to one; three muls to one; the
-	// result sum adds stay.
-	if n := countOp(f, OpMul); n != 1 {
-		t.Errorf("%d muls remain, want 1", n)
-	}
-	if n := countOp(f, OpAdd); n != adds-2 {
-		t.Errorf("%d adds remain, want %d", n, adds-2)
-	}
-}
-
-// TestGVNRespectsOrigin: values carrying different macro/inline origin
-// strings must not merge, because report filtering walks origins
-// transitively through arguments.
-func TestGVNRespectsOrigin(t *testing.T) {
-	src := `
-int f(int a, int b) {
-	int x = a * b;
-	int y = a * b;
-	return x - y;
-}
-`
-	f := fn(t, build(t, src), "f")
-	var muls []*Value
-	for _, b := range f.Blocks {
-		for _, v := range b.Instrs {
-			if v.Op == OpMul {
-				muls = append(muls, v)
-			}
-		}
-	}
-	if len(muls) != 2 {
-		t.Fatalf("test setup: %d muls, want 2", len(muls))
-	}
-	muls[1].Origin = "MACRO_Y"
-	if same, cross := GVN(f, ComputeDom(f)); same+cross != 0 {
-		t.Errorf("GVN hits = %d+%d, want 0 across differing origins", same, cross)
-	}
-	if n := countOp(f, OpMul); n != 2 {
-		t.Errorf("%d muls remain, want 2", n)
-	}
-}
-
-// TestGVNSkipsComparisonsAndBooleans: OpICmp is one report site per
-// instruction and width-1 values feed boolean sink analysis; neither
-// may merge.
-func TestGVNSkipsComparisonsAndBooleans(t *testing.T) {
-	src := `
-int f(int a, int b) {
-	int x = (a < b);
-	int y = (a < b);
-	return x + y;
-}
-`
-	f := fn(t, build(t, src), "f")
-	before := countOp(f, OpICmp)
-	if before != 2 {
-		t.Fatalf("test setup: %d icmps, want 2", before)
-	}
-	GVN(f, ComputeDom(f))
-	if n := countOp(f, OpICmp); n != 2 {
-		t.Errorf("%d icmps remain, want 2 (comparisons never merge)", n)
-	}
-}
-
-// TestGVNDoesNotMergeSiblings: duplicates in sibling branches stay
-// separate — neither block dominates the other, so the value is not
-// available across them.
-func TestGVNDoesNotMergeSiblings(t *testing.T) {
-	src := `
-int f(int a, int b) {
-	int x = 0;
-	if (a) {
-		x = a * b;
-	} else {
-		x = a * b;
-	}
-	return x;
-}
-`
-	f := fn(t, build(t, src), "f")
-	if n := countOp(f, OpMul); n != 2 {
-		t.Fatalf("test setup: %d muls, want 2", n)
-	}
-	GVN(f, ComputeDom(f))
-	if n := countOp(f, OpMul); n != 2 {
-		t.Errorf("%d muls remain, want 2 (the duplicates live in sibling blocks)", n)
-	}
-}
-
 func TestDSERemovesOverwrittenStores(t *testing.T) {
 	src := `
 int f(int a) {
@@ -180,8 +53,7 @@ int f() {
 }
 
 // TestRunSSAPassesExecDifferential drives the full pass stack over a
-// function exercising promotion, numbering, and store elimination at
-// once.
+// function exercising promotion and store elimination at once.
 func TestRunSSAPassesExecDifferential(t *testing.T) {
 	src := `
 int f(int a, int b) {

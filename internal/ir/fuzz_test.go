@@ -139,32 +139,6 @@ func FuzzHoistDifferential(f *testing.F) {
 	})
 }
 
-// FuzzGVNDifferential pins value numbering's semantic half: merging a
-// value into a structurally identical, same-origin representative and
-// redirecting its uses cannot change what the function computes. (The
-// report-preserving half — identical checker output — is
-// core.FuzzSSADifferential's strict gate.)
-func FuzzGVNDifferential(f *testing.F) {
-	seeds := []string{
-		`int f(int a, int b) { int x = a & b; int y = 0; if (a) { int t = b ^ 3; y = (a & b) | t; } return x + y; }`,
-		`int f(int a, int b) { int x = (a + b) * 3; int y = (a + b) * 3; return x - y; }`,
-		`int f(int a, int b) { int x = a * b; int y = 0; if (a) y = a * b; return x + y; }`,
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > 4<<10 {
-			return
-		}
-		fuzzExecDiff(t, src, func(fn *Func) {
-			dom := ComputeDom(fn)
-			PromoteAllocas(fn, dom)
-			GVN(fn, dom)
-		})
-	})
-}
-
 // FuzzBuildPromotionDifferential pins SSA construction: Build, which
 // promotes the slots of the locals whose address is never taken, must
 // compute what the build that leaves every slot in memory computes,

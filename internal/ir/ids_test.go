@@ -74,7 +74,6 @@ var ssaPassSteps = []struct {
 }{
 	{"mem2reg", func(f *Func, dom *DomTree) { PromoteAllocas(f, dom) }},
 	{"sccp", func(f *Func, _ *DomTree) { SCCP(f) }},
-	{"gvn", func(f *Func, dom *DomTree) { GVN(f, dom) }},
 	{"dse", func(f *Func, _ *DomTree) { DSE(f) }},
 	{"licm", func(f *Func, dom *DomTree) { HoistLoopInvariantUB(f, dom) }},
 }

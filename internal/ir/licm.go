@@ -113,7 +113,7 @@ func HoistLoopInvariantUB(f *Func, dom *DomTree) (ubTerms, moved int) {
 			v.Block = pre
 			pre.Instrs = append(pre.Instrs, v)
 			moved++
-			if gvnCarriesUBCond(v) {
+			if carriesUBCond(v) {
 				ubTerms++
 			}
 		}
@@ -184,6 +184,21 @@ func hoistable(v *Value) bool {
 		}
 	}
 	return true
+}
+
+// carriesUBCond reports whether a hoistable v is an operation the
+// checker attaches a UB condition to (core's insertUBConds): pointer
+// arithmetic, shifts, signed arithmetic, and bounded indexing.
+func carriesUBCond(v *Value) bool {
+	switch v.Op {
+	case OpPtrAdd, OpShl, OpLShr, OpAShr:
+		return true
+	case OpAdd, OpSub, OpMul, OpNeg:
+		return v.Signed
+	case OpIndexAddr:
+		return v.Aux2 > 0
+	}
+	return false
 }
 
 // invariantArgs decides whether every operand of v is loop-invariant:

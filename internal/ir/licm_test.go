@@ -11,81 +11,6 @@ func loopHeadOf(f *Func) *Block {
 	return nil
 }
 
-func TestGVNCrossBlockMergesDominatedDuplicate(t *testing.T) {
-	src := `
-int f(int a, int b) {
-	int x = a & b;
-	int y = 0;
-	if (a) {
-		int t = b ^ 3;
-		y = (a & b) | t;
-	}
-	return x + y;
-}
-`
-	execDiff(t, src, "f", [][]uint64{{0, 0}, {1, 2}, {7, 9}}, func(f *Func) {
-		PromoteAllocas(f, ComputeDom(f))
-		_, cross := GVN(f, ComputeDom(f))
-		if cross != 1 {
-			t.Errorf("cross-block hits = %d, want 1", cross)
-		}
-	})
-	f := fn(t, build(t, src), "f")
-	PromoteAllocas(f, ComputeDom(f))
-	GVN(f, ComputeDom(f))
-	// OpAnd carries no UB condition and the duplicate is not its
-	// block's report anchor (the xor is), so it is deleted outright.
-	if n := countOp(f, OpAnd); n != 1 {
-		t.Errorf("%d ands remain, want 1 (dominated duplicate deleted)", n)
-	}
-}
-
-// TestGVNCrossBlockKeepsUBCarrier: a signed multiply carries an
-// overflow condition whose guarded ∆ form names its own block's
-// reachability. The dominated duplicate's uses are redirected, but the
-// instruction stays as a condition carrier.
-func TestGVNCrossBlockKeepsUBCarrier(t *testing.T) {
-	src := `
-int f(int a, int b) {
-	int x = a * b;
-	int y = 0;
-	if (a) {
-		y = a * b;
-	}
-	return x + y;
-}
-`
-	f := fn(t, build(t, src), "f")
-	PromoteAllocas(f, ComputeDom(f))
-	_, cross := GVN(f, ComputeDom(f))
-	if cross != 1 {
-		t.Fatalf("cross-block hits = %d, want 1", cross)
-	}
-	if n := countOp(f, OpMul); n != 2 {
-		t.Errorf("%d muls remain, want 2 (UB-carrying victim kept as condition carrier)", n)
-	}
-	// The redirect must still have happened: no remaining use of the
-	// victim mul.
-	var muls []*Value
-	for _, b := range f.Blocks {
-		for _, v := range b.Instrs {
-			if v.Op == OpMul {
-				muls = append(muls, v)
-			}
-		}
-	}
-	victim := muls[1]
-	for _, b := range f.Blocks {
-		for v := range b.All() {
-			for _, a := range v.Args {
-				if a == victim {
-					t.Errorf("use of the victim mul survives in %v", v.Op)
-				}
-			}
-		}
-	}
-}
-
 func TestHoistLoopInvariantFromDoWhile(t *testing.T) {
 	src := `
 int f(int a, int b, int n) {
@@ -179,7 +104,7 @@ int f(int a, int b, int n) {
 }
 
 // TestRunSSAPassesStatsCoverNewPasses drives the full stack over a
-// function exercising SCCP, cross-block GVN, and hoisting at once and
+// function exercising SCCP and hoisting at once and
 // checks each pass surfaces its counter.
 func TestRunSSAPassesStatsCoverNewPasses(t *testing.T) {
 	src := `

@@ -194,7 +194,6 @@ check_ssa_passes() {
 	# and are covered by the end-to-end byte-identity oracle.
 	local table="PromoteAllocas PromotedAllocas FuzzSSADifferential
 SCCP SCCPFoldedValues FuzzSCCPDifferential
-GVN GVNHits FuzzGVNDifferential
 DSE EliminatedStores FuzzSSADifferential
 HoistLoopInvariantUB HoistedUBTerms FuzzHoistDifferential"
 	# Pass invocations in the RunSSAPasses body (`x := PassName(f...)`).

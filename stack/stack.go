@@ -124,8 +124,9 @@ func WithOriginFilter(on bool) Option {
 
 // WithSSA toggles the pruned-SSA pass stack run over each function
 // before encoding: mem2reg promotion of non-escaping allocas, sparse
-// conditional constant propagation, dominator-ordered value numbering,
-// dead-store elimination, and loop-invariant UB hoisting.
+// conditional constant propagation, dead-store elimination, and
+// loop-invariant UB hoisting. No pass numbers values: the bit-vector
+// layer's hash-consing merges structurally identical computations.
 //
 // On by default. Diagnostics are byte-identical to the legacy pipeline
 // across the synthetic corpus (the differential gate
