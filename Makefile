@@ -70,11 +70,12 @@ fleet-race:
 		./stack/shard ./stack/client ./stack/service
 
 # The SSA differential gate under the race detector: byte identity of
-# sweep output with Options.SSA across worker counts, the mem2reg /
-# dead-store unit and exec-differential tests, and
-# the SSA fuzz seed corpus.
+# sweep output with Options.SSA across worker counts, the promotion and
+# SCCP unit and exec-differential tests, and the seed corpora of the
+# SSA fuzz oracles (FuzzSSADifferential, FuzzSCCPDifferential and
+# FuzzBuildPromotionDifferential).
 ssa-differential:
-	$(GO) test -race -run 'SSA' ./internal/...
+	$(GO) test -race -run 'SSA|SCCP|Promot' ./internal/...
 
 # The result-cache gate under the race detector: cold-vs-warm byte
 # identity of sweep output across worker counts,
@@ -118,12 +119,11 @@ bench:
 # result: the same file or the same error. FuzzFoldMatchesExec checks
 # the IR constant folder that SCCP and the Fig. 4 optimizer share
 # against the concrete evaluator, per operation at widths 1 to 64. The
-# next three are the SSA differential oracles: end-to-end byte identity
-# of checker output keyed on SSASharpened, plus per-pass execution
-# equivalence for SCCP and loop-invariant UB hoisting. The last,
-# FuzzBuildPromotionDifferential, checks SSA construction: ir.Build,
-# which promotes the locals whose address is never taken, against the
-# build that leaves every local in memory.
+# next two are the SSA differential oracles: end-to-end byte identity
+# of checker output keyed on SSASharpened, plus execution equivalence
+# for SCCP. The last, FuzzBuildPromotionDifferential, checks SSA
+# construction: ir.Build, which promotes the locals whose address is
+# never taken, against the build that leaves every local in memory.
 fuzz-smoke:
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime $(FUZZTIME)
@@ -138,7 +138,6 @@ fuzz-smoke:
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzFoldMatchesExec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSSADifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzSCCPDifferential$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzHoistDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzBuildPromotionDifferential$$' -fuzztime $(FUZZTIME)
 
 # End-to-end service smoke: build stackd + the stack CLI, start two

@@ -645,16 +645,15 @@ func BenchmarkSSAChainHeavy(b *testing.B) {
 	b.ReportMetric(float64(st.Queries)/float64(len(srcs)), "queries-per-file")
 }
 
-// sccpBranchSources generates a branch-heavy loop corpus for the
-// global-analysis passes: every function runs a do-while whose first
-// statement is loop-varying (so the block's report anchor stays
-// put), followed by loop-invariant UB-carrying computations (a signed
-// multiply and a shift — hoisting candidates), and a region guarded
-// by a loop-carried constant flag that SCCP proves never executes.
-// The legacy pipeline pays solver queries for every UB site in the
-// dead region; SCCP folds the guard, the region's blocks lose their
-// executable in-edge, and the constant-decidable queries die in the
-// rewrite layer before blasting.
+// sccpBranchSources generates a branch-heavy loop corpus for SCCP:
+// every function runs a do-while whose live path carries UB sites (a
+// signed multiply and a shift), and a region guarded by a loop-carried
+// constant flag that SCCP proves never executes. The encoder widens
+// the flag's loop phi into a fresh variable, so the legacy pipeline
+// pays solver queries for every UB site in the dead region; SCCP folds
+// the guard, the region's blocks lose their executable in-edge, and
+// the constant-decidable queries die in the rewrite layer before
+// blasting.
 func sccpBranchSources(n int) []ssaChainSource {
 	srcs := make([]ssaChainSource, n)
 	for i := range srcs {
@@ -668,9 +667,9 @@ int sccp%02d(int n, int a, int b) {
 	int s = a;
 	int i = 0;
 	do {
-		s = s + b;              /* loop-varying: keeps the header anchor */
-		s = s + a * %d;         /* invariant signed multiply: hoisted */
-		s = s ^ (a << %d);      /* invariant shift: hoisted */
+		s = s + b;              /* loop-varying */
+		s = s + a * %d;         /* live UB site: signed multiply */
+		s = s ^ (a << %d);      /* live UB site: shift */
 		if (flag) {
 			dead = dead + b / n;  /* SCCP-dead: the guard folds to false */
 			dead = dead * %d + a * b;
@@ -687,14 +686,14 @@ int sccp%02d(int n, int a, int b) {
 	return srcs
 }
 
-// BenchmarkSCCPBranchHeavy measures the global-analysis suite on its
-// own corpus: loop-carried-constant guards that SCCP folds, dead
-// regions that lose their executable in-edge, and loop-invariant
-// UB-carrying computations that hoisting lifts into the preheader.
-// The benchmark fails — not merely regresses — unless both passes
-// fire and SSA strictly lowers solver queries versus the legacy
-// pipeline. Both Stats are pinned, so sccp-folded-branches,
-// hoisted-ub-terms and query-reduction are gated exactly.
+// BenchmarkSCCPBranchHeavy measures SCCP on its own corpus:
+// loop-carried-constant guards that SCCP folds, and dead regions that
+// lose their executable in-edge. It is the one pinned benchmark whose
+// query count SCCP changes: without SCCP, SSA asks the legacy
+// pipeline's queries. The benchmark fails — not merely regresses —
+// unless SCCP fires and SSA strictly lowers solver queries versus the
+// legacy pipeline. Both Stats are pinned, so sccp-folded-branches and
+// query-reduction are gated exactly.
 func BenchmarkSCCPBranchHeavy(b *testing.B) {
 	srcs := sccpBranchSources(24)
 	run := func(ssa bool) core.Stats {
@@ -718,16 +717,12 @@ func BenchmarkSCCPBranchHeavy(b *testing.B) {
 	if st.SCCPUnreachableBlocks == 0 {
 		b.Fatalf("SCCP found no unreachable blocks though every guard is a loop-carried constant: %+v", st)
 	}
-	if st.HoistedUBTerms == 0 {
-		b.Fatalf("hoisting moved no UB terms though every loop has invariant signed arithmetic: %+v", st)
-	}
 	if st.Queries >= legacy.Queries {
 		b.Fatalf("SSA did not reduce queries: legacy %d, ssa %d", legacy.Queries, st.Queries)
 	}
 
 	b.ReportMetric(float64(st.SCCPFoldedBranches), "sccp-folded-branches")
 	b.ReportMetric(float64(st.SCCPUnreachableBlocks), "sccp-unreachable-blocks")
-	b.ReportMetric(float64(st.HoistedUBTerms), "hoisted-ub-terms")
 	b.ReportMetric(float64(st.Queries), "queries")
 	b.ReportMetric(float64(legacy.Queries), "queries-legacy")
 	b.ReportMetric(float64(legacy.Queries)/float64(st.Queries), "query-reduction")

@@ -84,19 +84,16 @@
 // mem2reg promotes the address-taken locals whose address does not
 // escape to phi-connected values, by that same construction (with
 // alias-forwarding through the phis that carry a slot's address
-// between blocks); sparse conditional constant propagation
+// between blocks); then sparse conditional constant propagation
 // folds values and branch conditions proved constant by the
-// optimistic executable-edge iteration; dead-store elimination drops
-// stores overwritten before any load or call; and
-// loop-invariant UB hoisting lifts UB-carrying computations out of
-// natural loops into the preheader. Promoted values are immutable,
+// optimistic executable-edge iteration. Promoted values are immutable,
 // so the bit-vector layer hash-conses duplicated computation chains
 // instead of re-blasting them per opaque load; that hash-consing is
 // also the only value numbering, so no pass merges IR values. Stats
 // gains promotedAllocas, eliminatedStores, sccpFoldedValues,
-// sccpFoldedBranches, sccpUnreachableBlocks, hoistedUbTerms, and
-// ssaSharpened (omitted from the JSON trailer when zero, keeping
-// legacy bytes unchanged; gvnHits and crossBlockGvnHits are always
+// sccpFoldedBranches, sccpUnreachableBlocks, and ssaSharpened
+// (omitted from the JSON trailer when zero, keeping legacy bytes
+// unchanged; gvnHits, crossBlockGvnHits and hoistedUbTerms are always
 // zero and stay only because encodings grow additively). The default
 // is differentially gated: sweep output with SSA on is byte-identical
 // to the legacy pipeline on the archive corpus (raced across worker

@@ -69,19 +69,19 @@ type Options struct {
 	ScratchSolve bool
 	// SSA runs the pruned-SSA pass stack (ir.RunSSAPasses: mem2reg
 	// promotion of the address-taken locals whose address does not
-	// escape, which ir.Build leaves in memory, sparse conditional constant
-	// propagation, dead-store elimination, loop-invariant UB hoisting)
-	// over each function before UB-condition insertion and encoding.
-	// Either way the IR is in SSA form: ir.Build already promotes
-	// every local whose address is never taken. On since
-	// PR 10 (set by DefaultOptions); the legacy pipeline remains the
-	// differential reference behind SSA=false. The passes are
-	// engineered so that sweep output is byte-identical to the legacy
-	// pipeline across the synthetic corpus
-	// (TestSSAVsLegacyByteIdentity); the difference is effort —
-	// promoted loads stop encoding as distinct opaque variables, so
-	// downstream terms hash-cons and fewer terms reach the SAT core,
-	// and dominator-implied elimination queries are skipped.
+	// escape, which ir.Build leaves in memory, then sparse conditional
+	// constant propagation) over each function before UB-condition
+	// insertion and encoding. Either way the IR is in SSA form: ir.Build
+	// already promotes every local whose address is never taken. On by
+	// default (set by DefaultOptions). SSA=false is the differential
+	// reference for exactly those two passes: promotion of address-taken,
+	// non-escaping slots, and SCCP. The passes are engineered so that
+	// sweep output is byte-identical to the legacy pipeline across the
+	// synthetic corpus (TestSSAVsLegacyByteIdentity); the difference is
+	// effort — promoted loads stop encoding as distinct opaque
+	// variables, so downstream terms hash-cons, and branch conditions
+	// SCCP proves constant fold the reachability of the code they guard,
+	// so fewer queries and terms reach the SAT core.
 	SSA bool
 	// Flags models the gcc options discussed in §7 that promise
 	// C*-like semantics for some UB kinds: code is not unstable with
@@ -258,7 +258,6 @@ func (c *Checker) newFuncState(ctx context.Context, f *ir.Func, bld *bv.Builder)
 		c.stats.SCCPFoldedValues += int64(ps.SCCPFoldedValues)
 		c.stats.SCCPFoldedBranches += int64(ps.SCCPFoldedBranches)
 		c.stats.SCCPUnreachableBlocks += int64(ps.SCCPUnreachableBlocks)
-		c.stats.HoistedUBTerms += int64(ps.HoistedUBTerms)
 		if ps.Sharpening() {
 			c.stats.SSASharpened++
 		}

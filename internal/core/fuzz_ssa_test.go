@@ -19,22 +19,18 @@ import (
 //
 // The oracle is exactly the contract the passes make, keyed on
 // Stats.SSASharpened (ir.PassStats.Sharpening aggregated over
-// functions). Value numbering is report-preserving on every program
-// (the victim's terms are interned to the representative's, so the
-// deduplicated assumption list is unchanged), SCCP folds of
-// already-constant operands reproduce the very terms the rewrite layer
-// would have built — so when no function sharpened, the reports must
-// be byte-identical. The sharpening
-// transforms (promotion, store elimination, lattice-only SCCP facts,
-// hoisting) are semantics-preserving but precision-sharpening:
-// promotion can prove a pointer constant (turning an opaque load into
-// a value the solver folds — e.g. `int *p = *&s;` makes *p a provable
-// null deref), a lattice fact can fold a loop-carried constant the
-// encoder would have widened, and a hoisted condition's ∆ term
-// switches from the guarded to the plain form. For those the fuzzer
-// requires the SSA run to succeed (the per-pass exec-differential
-// fuzzers in internal/ir pin their concrete semantics); the corpus
-// gate pins their output on the distribution that matters.
+// functions). SCCP folds of already-constant operands reproduce the
+// very terms the rewrite layer would have built, so when no function
+// sharpened, the reports must be byte-identical. The sharpening
+// transforms (promotion and lattice-only SCCP facts) are
+// semantics-preserving but precision-sharpening: promotion can prove a
+// pointer constant (turning an opaque load into a value the solver
+// folds — e.g. `int *p = *&s;` makes *p a provable null deref), and a
+// lattice fact can fold a loop-carried constant the encoder would have
+// widened. For those the fuzzer requires the SSA run to succeed (the
+// per-pass exec-differential fuzzers in internal/ir pin their concrete
+// semantics); the corpus gate pins their output on the distribution
+// that matters.
 func FuzzSSADifferential(f *testing.F) {
 	seeds := []string{
 		`int f(int a) { int x = a; int *p = &x; *p = *p + 1; return x + *p; }`,

@@ -59,18 +59,19 @@ type Stats struct {
 	ArenaBytesReused int64 `json:"arenaBytesReused" prom:"stackd_solver_arena_bytes_reused_total" help:"Term-arena bytes served from recycled slabs." class:"sched"`
 	// SSA pass effort (all zero unless Options.SSA): PromotedAllocas
 	// counts address-taken variables mem2reg rewrote into SSA values,
-	// EliminatedStores counts stores deleted by promotion and dead-store
-	// elimination, SCCPFoldedValues counts instructions sparse
-	// conditional constant propagation transmuted to constants,
-	// SCCPFoldedBranches counts branch conditions it proved constant,
-	// SCCPUnreachableBlocks counts blocks with no executable in-edge,
-	// HoistedUBTerms counts UB-carrying instructions hoisted out of loop
-	// headers.
-	// GVNHits, CrossBlockGVNHits and DomOrderedSkips are always zero and
-	// kept only so that the encodings stay additive. The first two
-	// counted values an IR value-numbering pass merged in the same block
-	// and into a dominating block; the bv builder's hash-consing now
-	// makes every such merge (CacheHits). DomOrderedSkips counted
+	// EliminatedStores counts the stores promotion deleted,
+	// SCCPFoldedValues counts instructions sparse conditional constant
+	// propagation transmuted to constants, SCCPFoldedBranches counts
+	// branch conditions it proved constant, and SCCPUnreachableBlocks
+	// counts blocks with no executable in-edge.
+	// GVNHits, CrossBlockGVNHits, HoistedUBTerms and DomOrderedSkips are
+	// always zero and kept only so that the encodings stay additive. The
+	// first two counted values an IR value-numbering pass merged in the
+	// same block and into a dominating block; the bv builder's
+	// hash-consing now makes every such merge (CacheHits).
+	// HoistedUBTerms counted UB-carrying instructions a pass hoisted out
+	// of loop headers; no pass does, because hoisting changed no query
+	// and no report on any measured input. DomOrderedSkips counted
 	// elimination queries skipped because a dominated block's
 	// satisfiable verdict implied them, and those queries are now
 	// answered from the session's stored assignment (WitnessHits).

@@ -113,32 +113,6 @@ func FuzzSCCPDifferential(f *testing.F) {
 	})
 }
 
-// FuzzHoistDifferential pins loop-invariant UB hoisting's contract: a
-// hoisted instruction runs iff it ran before (the header executes
-// whenever the preheader does) and computes the same value every
-// iteration, so execution — including which traps fire — is unchanged.
-func FuzzHoistDifferential(f *testing.F) {
-	seeds := []string{
-		`int f(int a, int b, int n) { int s = 0; int i = 0; do { s = s ^ i; s = s + a * b; i = i + 1; } while (i < n); return s; }`,
-		`int f(int a, int n) { int s = 0; int i = 0; do { s = s + (a << 3); i = i + 1; } while (i < n); return s; }`,
-		`int f(int a, int b, int n) { int s = 0; for (int i = 0; i < n; i++) s = s + a * b; return s; }`,
-		`int f(int a, int n) { int i = 0; int s = 0; do { s = s + i * a; i = i + 1; } while (i < n); return s; }`,
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > 4<<10 {
-			return
-		}
-		fuzzExecDiff(t, src, func(fn *Func) {
-			dom := ComputeDom(fn)
-			PromoteAllocas(fn, dom)
-			HoistLoopInvariantUB(fn, dom)
-		})
-	})
-}
-
 // FuzzBuildPromotionDifferential pins SSA construction: Build, which
 // promotes the slots of the locals whose address is never taken, must
 // compute what the build that leaves every slot in memory computes,

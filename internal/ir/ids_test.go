@@ -74,8 +74,6 @@ var ssaPassSteps = []struct {
 }{
 	{"mem2reg", func(f *Func, dom *DomTree) { PromoteAllocas(f, dom) }},
 	{"sccp", func(f *Func, _ *DomTree) { SCCP(f) }},
-	{"dse", func(f *Func, _ *DomTree) { DSE(f) }},
-	{"licm", func(f *Func, dom *DomTree) { HoistLoopInvariantUB(f, dom) }},
 }
 
 // checkedSSAPasses runs the SSA pass stack over f as the checker does,

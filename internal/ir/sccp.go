@@ -40,7 +40,7 @@ package ir
 //     before blasting.
 //   - Transmutation is in place (v.Op = OpConst), preserving the
 //     value's identity, instruction position, and source position, so
-//     report anchors (firstAnchor, blockPos) are stable.
+//     report anchors (blockPos) are stable.
 //   - Width-1 values never transmute: the simplification algorithm
 //     creates one report site per OpICmp instruction and traces
 //     boolean use chains, so folding a comparison would delete a site

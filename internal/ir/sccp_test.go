@@ -177,3 +177,32 @@ int f(int n) {
 		t.Error("value over an origin-carrying operand transmuted; DefOrigin walks would lose MACRO_X")
 	}
 }
+
+// TestRunSSAPassesStatsCoverNewPasses drives the full stack over a
+// function with a constant branch and checks that RunSSAPasses
+// surfaces SCCP's counters.
+func TestRunSSAPassesStatsCoverNewPasses(t *testing.T) {
+	src := `
+int f(int a, int b) {
+	int k = 3;
+	int y = 0;
+	if (k < 5) {
+		y = a & b;
+	} else {
+		y = 1;
+	}
+	int x = a & b;
+	return x + y;
+}
+`
+	var ps PassStats
+	execDiff(t, src, "f",
+		[][]uint64{{0, 0}, {1, 2}, {7, 9}},
+		func(f *Func) { ps = RunSSAPasses(f, ComputeDom(f)) })
+	if ps.SCCPFoldedBranches == 0 {
+		t.Errorf("SCCPFoldedBranches = 0, want > 0 (k < 5 is constant)")
+	}
+	if ps.SCCPUnreachableBlocks == 0 {
+		t.Errorf("SCCPUnreachableBlocks = 0, want > 0 (else branch dead)")
+	}
+}

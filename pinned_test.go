@@ -59,7 +59,7 @@ var pinnedWork = map[string]workPin{
 	}},
 	"BenchmarkSCCPBranchHeavy": {allocs: 44726, rows: map[string]string{
 		"legacy": `{"functions":24,"blocks":168,"queries":408,"timeouts":0,"rewriteHits":960,"termsCreated":2923,"fastPaths":0,"termsBlasted":2715,"blastPasses":56,"learntsReused":1073344,"cacheHits":917,"learntsDropped":0,"arenaBytesReused":0,"witnessHits":323}`,
-		"ssa":    `{"functions":24,"blocks":168,"queries":240,"timeouts":0,"rewriteHits":1080,"termsCreated":2515,"fastPaths":0,"termsBlasted":1306,"blastPasses":39,"learntsReused":26414,"cacheHits":1229,"learntsDropped":0,"arenaBytesReused":0,"sccpFoldedValues":96,"sccpFoldedBranches":24,"sccpUnreachableBlocks":24,"hoistedUbTerms":48,"ssaSharpened":24,"witnessHits":180}`,
+		"ssa":    `{"functions":24,"blocks":168,"queries":240,"timeouts":0,"rewriteHits":1176,"termsCreated":2515,"fastPaths":0,"termsBlasted":1308,"blastPasses":41,"learntsReused":28022,"cacheHits":1301,"learntsDropped":0,"arenaBytesReused":0,"sccpFoldedValues":96,"sccpFoldedBranches":24,"sccpUnreachableBlocks":24,"ssaSharpened":24,"witnessHits":175}`,
 	}},
 	"BenchmarkWarmSweep": {allocs: 5353, rows: map[string]string{
 		"counts": `{"cacheResultHits":360,"cacheResultMisses":0,"files":360,"queries":0,"reports":245}`,

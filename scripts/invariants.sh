@@ -190,12 +190,11 @@ check_ssa_passes() {
 		return 1
 	fi
 	# Registry: pass function -> core.Stats counter -> differential
-	# oracle. PromoteAllocas and DSE predate the per-pass exec fuzzers
-	# and are covered by the end-to-end byte-identity oracle.
+	# oracle. PromoteAllocas is covered by the end-to-end byte-identity
+	# oracle; ir.Build's own promotion, which shares its construction,
+	# has FuzzBuildPromotionDifferential.
 	local table="PromoteAllocas PromotedAllocas FuzzSSADifferential
-SCCP SCCPFoldedValues FuzzSCCPDifferential
-DSE EliminatedStores FuzzSSADifferential
-HoistLoopInvariantUB HoistedUBTerms FuzzHoistDifferential"
+SCCP SCCPFoldedValues FuzzSCCPDifferential"
 	# Pass invocations in the RunSSAPasses body (`x := PassName(f...)`).
 	local invoked
 	invoked="$(awk '

@@ -123,10 +123,10 @@ func WithOriginFilter(on bool) Option {
 }
 
 // WithSSA toggles the pruned-SSA pass stack run over each function
-// before encoding: mem2reg promotion of non-escaping allocas, sparse
-// conditional constant propagation, dead-store elimination, and
-// loop-invariant UB hoisting. No pass numbers values: the bit-vector
-// layer's hash-consing merges structurally identical computations.
+// before encoding: mem2reg promotion of non-escaping allocas, then
+// sparse conditional constant propagation. No pass numbers values: the
+// bit-vector layer's hash-consing merges structurally identical
+// computations.
 //
 // On by default. Diagnostics are byte-identical to the legacy pipeline
 // across the synthetic corpus (the differential gate
@@ -137,8 +137,8 @@ func WithOriginFilter(on bool) Option {
 // hash-cons across the whole function.
 // WithSSA(false) is the escape hatch and the differential reference:
 // every per-pass fuzz oracle compares against it. The pass counters
-// surface in Stats (PromotedAllocas through HoistedUBTerms, plus
-// SSASharpened).
+// surface in Stats (PromotedAllocas, EliminatedStores, the SCCP
+// counters, and SSASharpened).
 func WithSSA(on bool) Option {
 	return func(c *config) { c.opts.SSA = on }
 }
